@@ -2,32 +2,34 @@
  * @file
  * Thread-scaling bench — the repo's perf trajectory entry point.
  *
- * Renders a synthetic-scene orbit end to end (culling + projection + SH,
- * binning, per-tile sorting, rasterization) through the functional
- * pipeline at 1/2/4/8 worker threads and reports ms/frame plus the
- * speedup over the serial baseline. Frame hashes are checked across all
- * points: a mismatch means the determinism contract of common/parallel.h
- * is broken and the run fails.
+ * Renders a synthetic-scene orbit through the served frame loop
+ * (NeoRenderer::renderFrameInto: 64-px tiles, delta tracker,
+ * reuse-and-update sorter) at 1/2/4/8 worker threads. Frame 0 is an
+ * untimed cold start; every timed frame reports its per-stage breakdown
+ * — bin / tracker / sort / raster ms per frame, plus the per-frame
+ * Image::contentHash the serving layer computes — so eliminating a
+ * serial stage is visible in the stage column, not just the total. The
+ * hashes of every timed frame are checked across all points: a mismatch
+ * means the determinism contract of common/parallel.h is broken and the
+ * run fails.
  *
  *   ./bench_scaling [--json out.json] [--gaussians N] [--frames N]
- *                   [--threads-list 1,2,4,8] [--stage] [--pr N]
+ *                   [--threads-list 1,2,4,8] [--pr N]
  *                   [--raster-mode blocked|reference|both] [--fast-exp]
  *                   [--integrity off|check|recover]
  *
- * With --stage each frame runs the explicit staged loop and the report
- * (and JSON) carries a per-stage breakdown — bin / sort / raster /
- * tracker ms per frame — so eliminating a serial stage is visible in the
- * stage column, not just the total. --raster-mode selects the blend
- * implementation (subtile-blocked kernel, default, or the scalar
- * reference); "both" runs the staged sweep twice and prints an A/B
- * column with the reference raster_ms next to the blocked one, failing
- * if the two paths disagree on a single frame bit or raster counter.
- * --fast-exp enables the deterministic polynomial exp
+ * Numeric values must be whole positive integers; anything else exits 2.
+ * --raster-mode selects the blend implementation (subtile-blocked
+ * kernel, default, or the scalar reference); "both" runs the sweep twice
+ * and prints an A/B column with the reference raster_ms next to the
+ * blocked one, failing if the two paths disagree on a single frame bit
+ * or raster counter. --fast-exp enables the deterministic polynomial exp
  * (RasterConfig::fast_exp) for the sweep. With --json the results are
  * written machine-readable (BENCH_PR<n>.json schema) for CI artifact
  * upload, trend tracking, and the regression gate (bench/diff_bench.sh);
- * the JSON records the raster kernel variant and fast_exp mode, so every
- * trajectory point is self-describing about what exactly it measured.
+ * the JSON records the pipeline, raster kernel variant and fast_exp
+ * mode, so every trajectory point is self-describing about what exactly
+ * it measured.
  */
 
 #include <cstdint>
@@ -38,7 +40,9 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "common/env.h"
 #include "common/parallel.h"
+#include "core/neo_renderer.h"
 #include "scene/synthetic.h"
 #include "scene/trajectory.h"
 #include "sim/perf_harness.h"
@@ -48,86 +52,91 @@ using namespace neo;
 namespace
 {
 
+/** The "pipeline" field of the JSON: what the sweep times. */
+constexpr const char *kPipeline = "neo-reuse-staged";
+
 struct Args
 {
     std::string json_path;
     size_t gaussians = 30000;
     int frames = 5;
     int pr = 5;
-    bool stage = false;
     bool fast_exp = false;
     std::string raster_mode = "blocked";
     std::string integrity = "off";
     std::vector<int> threads = {1, 2, 4, 8};
 };
 
+/** Full-string integer in [1, @p hi] for @p flag, or exit 2. */
+long
+parsePositive(const char *flag, const std::string &text, long hi)
+{
+    long v = 0;
+    if (!env::parseLong(text.c_str(), &v) || v < 1 || v > hi) {
+        std::fprintf(stderr, "%s: '%s' is not an integer in [1, %ld]\n",
+                     flag, text.c_str(), hi);
+        std::exit(2);
+    }
+    return v;
+}
+
 std::vector<int>
 parseThreadList(const char *s)
 {
     std::vector<int> out;
-    for (const char *p = s; *p;) {
-        int v = std::atoi(p);
-        if (v > 0)
-            out.push_back(v);
-        while (*p && *p != ',')
-            ++p;
-        if (*p == ',')
-            ++p;
+    const std::string list = s;
+    for (size_t begin = 0;;) {
+        const size_t comma = list.find(',', begin);
+        out.push_back(static_cast<int>(parsePositive(
+            "--threads-list", list.substr(begin, comma - begin),
+            kMaxThreads)));
+        if (comma == std::string::npos)
+            return out;
+        begin = comma + 1;
     }
-    return out;
 }
 
 Args
 parse(int argc, char **argv)
 {
     Args a;
-    for (int i = 1; i < argc;) {
-        if (std::strcmp(argv[i], "--stage") == 0) {
-            a.stage = true;
-            i += 1;
-            continue;
-        }
-        if (std::strcmp(argv[i], "--fast-exp") == 0) {
+    for (int i = 1; i < argc; ++i) {
+        const char *flag = argv[i];
+        auto value = [&] {
+            if (i + 1 >= argc) {
+                std::fprintf(stderr, "flag '%s' needs a value\n", flag);
+                std::exit(2);
+            }
+            return argv[++i];
+        };
+        if (std::strcmp(flag, "--fast-exp") == 0)
             a.fast_exp = true;
-            i += 1;
-            continue;
-        }
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "flag '%s' needs a value\n", argv[i]);
-            std::exit(2);
-        }
-        if (std::strcmp(argv[i], "--json") == 0)
-            a.json_path = argv[i + 1];
-        else if (std::strcmp(argv[i], "--gaussians") == 0)
-            a.gaussians = static_cast<size_t>(std::atol(argv[i + 1]));
-        else if (std::strcmp(argv[i], "--frames") == 0)
-            a.frames = std::atoi(argv[i + 1]);
-        else if (std::strcmp(argv[i], "--threads-list") == 0)
-            a.threads = parseThreadList(argv[i + 1]);
-        else if (std::strcmp(argv[i], "--pr") == 0)
-            a.pr = std::atoi(argv[i + 1]);
-        else if (std::strcmp(argv[i], "--raster-mode") == 0)
-            a.raster_mode = argv[i + 1];
-        else if (std::strcmp(argv[i], "--integrity") == 0)
-            a.integrity = argv[i + 1];
+        else if (std::strcmp(flag, "--json") == 0)
+            a.json_path = value();
+        else if (std::strcmp(flag, "--gaussians") == 0)
+            a.gaussians =
+                static_cast<size_t>(parsePositive(flag, value(), 1L << 30));
+        else if (std::strcmp(flag, "--frames") == 0)
+            a.frames =
+                static_cast<int>(parsePositive(flag, value(), 1 << 20));
+        else if (std::strcmp(flag, "--threads-list") == 0)
+            a.threads = parseThreadList(value());
+        else if (std::strcmp(flag, "--pr") == 0)
+            a.pr = static_cast<int>(parsePositive(flag, value(), 1 << 20));
+        else if (std::strcmp(flag, "--raster-mode") == 0)
+            a.raster_mode = value();
+        else if (std::strcmp(flag, "--integrity") == 0)
+            a.integrity = value();
         else {
-            std::fprintf(stderr, "unknown flag '%s'\n", argv[i]);
+            std::fprintf(stderr, "unknown flag '%s'\n", flag);
             std::exit(2);
         }
-        i += 2;
     }
-    if (a.threads.empty())
-        a.threads = {1};
     if (a.raster_mode != "blocked" && a.raster_mode != "reference" &&
         a.raster_mode != "both") {
         std::fprintf(stderr,
                      "--raster-mode must be blocked, reference or both\n");
         std::exit(2);
-    }
-    if (a.raster_mode == "both" && !a.stage) {
-        // The A/B column compares raster_ms, which only the staged loop
-        // measures.
-        a.stage = true;
     }
     if (a.integrity != "off" && a.integrity != "check" &&
         a.integrity != "recover") {
@@ -153,9 +162,7 @@ writeJson(const std::string &path, const Args &args, Resolution res,
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"bench\": \"scaling\",\n");
     std::fprintf(f, "  \"pr\": %d,\n", args.pr);
-    std::fprintf(f, "  \"pipeline\": \"%s\",\n",
-                 args.stage ? "functional-render-staged"
-                            : "functional-render");
+    std::fprintf(f, "  \"pipeline\": \"%s\",\n", kPipeline);
     std::fprintf(f, "  \"raster_mode\": \"%s\",\n",
                  args.raster_mode.c_str());
     std::fprintf(f, "  \"raster_kernel\": \"%s\",\n",
@@ -177,21 +184,13 @@ writeJson(const std::string &path, const Args &args, Resolution res,
         const ThreadScalingPoint &p = points[i];
         std::fprintf(f,
                      "    {\"threads\": %d, \"ms_per_frame\": %.3f, "
-                     "\"speedup\": %.3f",
-                     p.threads, p.ms_per_frame, p.speedup);
-        if (p.has_stages)
-            // render_ms (bin + sort + raster) is the slice comparable to
-            // the non-staged pipeline of earlier trajectory points, which
-            // did not run the delta tracker; diff_bench.sh prefers it.
-            std::fprintf(f,
-                         ", \"render_ms\": %.3f, "
-                         "\"stages\": {\"bin_ms\": %.3f, "
-                         "\"sort_ms\": %.3f, \"raster_ms\": %.3f, "
-                         "\"tracker_ms\": %.3f}",
-                         p.stages.bin_ms + p.stages.sort_ms +
-                             p.stages.raster_ms,
-                         p.stages.bin_ms, p.stages.sort_ms,
-                         p.stages.raster_ms, p.stages.tracker_ms);
+                     "\"speedup\": %.3f, "
+                     "\"stages\": {\"bin_ms\": %.3f, "
+                     "\"tracker_ms\": %.3f, \"sort_ms\": %.3f, "
+                     "\"raster_ms\": %.3f, \"hash_ms\": %.3f}",
+                     p.threads, p.ms_per_frame, p.speedup, p.stages.bin_ms,
+                     p.stages.tracker_ms, p.stages.sort_ms,
+                     p.stages.raster_ms, p.hash_ms);
         if (reference_points && i < reference_points->size())
             std::fprintf(f, ", \"raster_ms_reference\": %.3f",
                          (*reference_points)[i].stages.raster_ms);
@@ -211,12 +210,19 @@ abPointsMatch(const ThreadScalingPoint &blocked,
 {
     const RasterStats &b = blocked.last_frame.raster;
     const RasterStats &r = reference.last_frame.raster;
-    return blocked.frame_hash == reference.frame_hash &&
+    return blocked.frame_hashes == reference.frame_hashes &&
            b.gaussians_in == r.gaussians_in &&
            b.intersection_tests == r.intersection_tests &&
            b.gaussians_blended == r.gaussians_blended &&
            b.blend_ops == r.blend_ops &&
            b.pixels_terminated == r.pixels_terminated;
+}
+
+/** The last timed frame's hash (every point times at least one). */
+unsigned long long
+lastHash(const ThreadScalingPoint &p)
+{
+    return p.frame_hashes.back();
 }
 
 } // namespace
@@ -226,7 +232,7 @@ main(int argc, char **argv)
 {
     Args args = parse(argc, argv);
 
-    bench::banner("Thread scaling of the functional pipeline",
+    bench::banner("Thread scaling of the served frame loop",
                   "perf trajectory",
                   "near-linear scaling of the tile-parallel stages; "
                   "bit-identical frames at every thread count");
@@ -248,7 +254,7 @@ main(int argc, char **argv)
                 hardwareThreadCount(), args.raster_mode.c_str(),
                 args.fast_exp ? "on" : "off", args.integrity.c_str());
 
-    PipelineOptions opts;
+    PipelineOptions opts = NeoRenderer::neoDefaultOptions();
     opts.raster.reference_path = (args.raster_mode == "reference");
     opts.raster.fast_exp = args.fast_exp;
     opts.integrity = args.integrity == "check"
@@ -256,12 +262,8 @@ main(int argc, char **argv)
                          : (args.integrity == "recover"
                                 ? IntegrityMode::Recover
                                 : IntegrityMode::Off);
-    std::vector<ThreadScalingPoint> points =
-        args.stage
-            ? sweepRenderThreadsStaged(scene, orbit, res, args.frames,
-                                       args.threads, opts)
-            : sweepRenderThreads(scene, orbit, res, args.frames,
-                                 args.threads, opts);
+    std::vector<ThreadScalingPoint> points = sweepRenderThreadsStaged(
+        scene, orbit, res, args.frames, args.threads, opts);
 
     // A/B: same sweep through the scalar reference rasterizer.
     std::vector<ThreadScalingPoint> reference_points;
@@ -278,12 +280,12 @@ main(int argc, char **argv)
     bool deterministic = true;
     for (const auto &p : points)
         deterministic = deterministic &&
-                        p.frame_hash == points.front().frame_hash;
+                        p.frame_hashes == points.front().frame_hashes;
 
     if (args.raster_mode == "both") {
         std::printf("%-10s %-12s %-12s %-12s %-10s %s\n", "threads",
                     "ms/frame", "raster(blk)", "raster(ref)", "ref/blk",
-                    "frame hash");
+                    "last hash");
         for (size_t i = 0; i < points.size(); ++i) {
             const auto &p = points[i];
             const double ref_ms = reference_points[i].stages.raster_ms;
@@ -293,33 +295,26 @@ main(int argc, char **argv)
                         p.stages.raster_ms > 0.0
                             ? ref_ms / p.stages.raster_ms
                             : 0.0,
-                        static_cast<unsigned long long>(p.frame_hash));
+                        lastHash(p));
         }
         std::printf("\nblocked vs reference: %s\n",
                     ab_ok ? "OK (bit-identical frames and counters)"
                           : "FAILED");
-    } else if (args.stage) {
-        std::printf("%-10s %-12s %-10s %-10s %-10s %-10s %-10s %s\n",
-                    "threads", "ms/frame", "bin", "sort", "raster",
-                    "tracker", "speedup", "frame hash");
-        for (const auto &p : points)
-            std::printf(
-                "%-10d %-12.2f %-10.2f %-10.2f %-10.2f %-10.2f %-10.2f "
-                "%016llx\n",
-                p.threads, p.ms_per_frame, p.stages.bin_ms,
-                p.stages.sort_ms, p.stages.raster_ms, p.stages.tracker_ms,
-                p.speedup,
-                static_cast<unsigned long long>(p.frame_hash));
     } else {
-        std::printf("%-10s %-14s %-10s %s\n", "threads", "ms/frame",
-                    "speedup", "frame hash");
+        std::printf("%-10s %-10s %-8s %-8s %-8s %-8s %-8s %-8s %s\n",
+                    "threads", "ms/frame", "bin", "tracker", "sort",
+                    "raster", "hash", "speedup", "last hash");
         for (const auto &p : points)
-            std::printf("%-10d %-14.2f %-10.2f %016llx\n", p.threads,
-                        p.ms_per_frame, p.speedup,
-                        static_cast<unsigned long long>(p.frame_hash));
+            std::printf("%-10d %-10.2f %-8.2f %-8.2f %-8.2f %-8.2f %-8.2f "
+                        "%-8.2f %016llx\n",
+                        p.threads, p.ms_per_frame, p.stages.bin_ms,
+                        p.stages.tracker_ms, p.stages.sort_ms,
+                        p.stages.raster_ms, p.hash_ms, p.speedup,
+                        lastHash(p));
     }
     std::printf("\ndeterminism across thread counts: %s\n",
-                deterministic ? "OK (bit-identical frames)" : "FAILED");
+                deterministic ? "OK (every timed frame bit-identical)"
+                              : "FAILED");
 
     if (!args.json_path.empty()) {
         if (!writeJson(args.json_path, args, res, points,

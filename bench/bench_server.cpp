@@ -10,9 +10,11 @@
  * delivered frame's hash is compared against a solo single-session
  * renderer walking the same trajectory: the fault-isolation contract
  * says concurrent siblings must not change a single bit, so a mismatch
- * fails the run. The 1-session / threads=1 point renders the identical
- * per-frame workload as bench_scaling's threads=1 staged point, which is
- * what bench/diff_bench.sh gates the serving-layer overhead with.
+ * fails the run. The 1-session / threads=1 point runs the same frames
+ * through the same code as bench_scaling's threads=1 point — one
+ * NeoRenderer frame loop, an untimed cold-start frame 0, then timed
+ * reuse frames 1..N each hashed — so bench/diff_bench.sh gates the
+ * serving-layer overhead (queues, QoS, watchdog) as their difference.
  *
  *   ./bench_server [--json out.json] [--gaussians N] [--frames N]
  *                  [--sessions-list 1,2,4] [--threads-list 1,2,4,8]

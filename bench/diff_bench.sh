@@ -5,32 +5,29 @@
 # bench/run_benches.sh) on serial throughput — ms_per_frame at threads=1,
 # the number least affected by core count — and fails when the current
 # point is more than MAX_REGRESSION_PCT slower than the baseline. When
-# both files carry a per-stage breakdown, the threads=1 bin_ms, sort_ms,
-# raster_ms and tracker_ms are each gated with the same threshold: the
-# raster and tracker stages carry dedicated SIMD kernels, and the bin and
-# sort stages carry the fused batching/key-sort path — a regression in
-# any one must not hide behind improvements elsewhere. The per-stage
-# gates carry an absolute slack ($STAGE_ABS_SLACK_MS, default 1.0 ms) on
-# top of the percentage: the small stages run in single-digit
-# milliseconds, where scheduler jitter alone exceeds 10%, so a
-# percent-only gate flakes without any code change.
+# both files carry a per-stage breakdown, the threads=1 raster_ms,
+# tracker_ms, bin_ms and sort_ms are each gated with the same threshold.
+# The per-stage gates carry an absolute slack ($STAGE_ABS_SLACK_MS,
+# default 1.0 ms) on top of the percentage: the small stages run in
+# single-digit milliseconds, where scheduler jitter alone exceeds 10%,
+# so a percent-only gate flakes without any code change.
 #
 #   bench/diff_bench.sh BASELINE.json CURRENT.json [MAX_REGRESSION_PCT]
 #
 # MAX_REGRESSION_PCT defaults to 10. Exits 0 on pass, 1 on regression,
 # 2 on malformed input. Wall-clock comparisons across different machines
-# are meaningless, so when the two files report a different machine_cores
-# the gate is skipped (exit 0) with a notice — the strict comparison
-# applies to same-machine pairs, i.e. consecutive points recorded on one
-# box or within one CI runner class.
+# or different timed frame loops are meaningless, so when the two files
+# report a different machine_cores or a different "pipeline" the gate is
+# skipped (exit 0) with a notice — the strict comparison applies to
+# same-machine, same-pipeline pairs, i.e. consecutive points recorded on
+# one box or within one CI runner class.
 #
 # Serving-layer mode: when CURRENT is a bench_server sweep (it carries
 # "bench": "server"), the gate compares its 1-session / threads=1
 # ms_per_frame — the point that renders the identical per-frame workload
-# as the scaling bench — against the baseline's threads=1 total
-# ms_per_frame (not render_ms: the serving loop includes the tracker and
-# the per-frame hash). The per-stage gates do not apply (the server JSON
-# has no stage breakdown), and a failed isolation contract in the sweep
+# as the scaling bench, hash included — against the baseline's threads=1
+# ms_per_frame. The per-stage gates do not apply (the server JSON has no
+# stage breakdown), and a failed isolation contract in the sweep
 # ("isolated_all": false) fails the gate outright.
 #
 # When the sweep carries a "durable_points" array (bench_server
@@ -49,63 +46,23 @@ BASELINE="$1"
 CURRENT="$2"
 MAX_PCT="${3:-10}"
 
-extract_t1_ms() {
-    # The JSON is generated by bench_scaling.cpp with one point per line:
-    #   {"threads": 1, "ms_per_frame": 114.800, ... "render_ms": 104.9...}
-    # Staged points carry render_ms (bin + sort + raster), the slice
-    # comparable to the non-staged pipeline of older trajectory points
-    # (whose loop had no tracker stage); prefer it when present.
+extract_t1() {
+    # extract_t1 FIELD FILE: FIELD's value on the threads=1 line, or ""
+    # when the line or the field is missing (that gate is skipped).
+    # bench_scaling writes one point per line:
+    #   {"threads": 1, "ms_per_frame": 54.2, ..., "stages": {"bin_ms": ...}}
     local line
-    line="$(grep -m1 '"threads": 1,' "$1" || true)"
-    if [[ "$line" == *'"render_ms"'* ]]; then
-        sed -E 's/.*"render_ms": ([0-9.]+).*/\1/' <<<"$line"
-    elif [[ "$line" == *'"ms_per_frame"'* ]]; then
-        sed -E 's/.*"ms_per_frame": ([0-9.]+).*/\1/' <<<"$line"
+    line="$(grep -m1 '"threads": 1,' "$2" || true)"
+    if [[ "$line" == *"\"$1\": "* ]]; then
+        sed -E "s/.*\"$1\": ([0-9.]+).*/\1/" <<<"$line"
     fi
 }
 
-extract_t1_raster_ms() {
-    # Staged points carry the per-stage object on the same line:
-    #   ... "stages": {"bin_ms": ..., "raster_ms": 30.1, ...}
-    # Yields "" for non-staged files (gate skipped).
-    local line
-    line="$(grep -m1 '"threads": 1,' "$1" || true)"
-    if [[ "$line" == *'"raster_ms"'* ]]; then
-        sed -E 's/.*"raster_ms": ([0-9.]+).*/\1/' <<<"$line"
-    fi
-}
-
-extract_t1_tracker_ms() {
-    # Same per-stage object; "" for non-staged files (gate skipped).
-    local line
-    line="$(grep -m1 '"threads": 1,' "$1" || true)"
-    if [[ "$line" == *'"tracker_ms"'* ]]; then
-        sed -E 's/.*"tracker_ms": ([0-9.]+).*/\1/' <<<"$line"
-    fi
-}
-
-extract_t1_bin_ms() {
-    # Same per-stage object; "" for non-staged files (gate skipped).
-    local line
-    line="$(grep -m1 '"threads": 1,' "$1" || true)"
-    if [[ "$line" == *'"bin_ms"'* ]]; then
-        sed -E 's/.*"bin_ms": ([0-9.]+).*/\1/' <<<"$line"
-    fi
-}
-
-extract_t1_sort_ms() {
-    # Same per-stage object; "" for non-staged files (gate skipped).
-    local line
-    line="$(grep -m1 '"threads": 1,' "$1" || true)"
-    if [[ "$line" == *'"sort_ms"'* ]]; then
-        sed -E 's/.*"sort_ms": ([0-9.]+).*/\1/' <<<"$line"
-    fi
-}
-
-extract_cores() {
-    # A missing field yields "" (handled by the guards below), not a
-    # grep failure that would abort the script under set -e.
-    grep -m1 '"machine_cores":' "$1" | sed -E 's/[^0-9]*([0-9]+).*/\1/' ||
+extract_field() {
+    # extract_field FIELD FILE: a top-level string or number field; a
+    # missing field yields "" (handled by the guards below), not a grep
+    # failure that would abort the script under set -e.
+    grep -m1 "\"$1\":" "$2" | sed -E 's/^[^:]*: *"?([^",]*)"?,?$/\1/' ||
         true
 }
 
@@ -123,17 +80,6 @@ extract_server_t1_ms() {
     fi
 }
 
-extract_total_t1_ms() {
-    # Full threads=1 ms_per_frame of a scaling point (includes the
-    # tracker stage, unlike render_ms) — the slice comparable to the
-    # serving loop.
-    local line
-    line="$(grep -m1 '"threads": 1,' "$1" || true)"
-    if [[ "$line" == *'"ms_per_frame"'* ]]; then
-        sed -E 's/.*"ms_per_frame": ([0-9.]+).*/\1/' <<<"$line"
-    fi
-}
-
 server_mode=0
 if is_server_json "$CURRENT"; then
     server_mode=1
@@ -145,12 +91,12 @@ if is_server_json "$CURRENT"; then
     if is_server_json "$BASELINE"; then
         base_ms="$(extract_server_t1_ms "$BASELINE")"
     else
-        base_ms="$(extract_total_t1_ms "$BASELINE")"
+        base_ms="$(extract_t1 ms_per_frame "$BASELINE")"
     fi
     cur_ms="$(extract_server_t1_ms "$CURRENT")"
 else
-    base_ms="$(extract_t1_ms "$BASELINE")"
-    cur_ms="$(extract_t1_ms "$CURRENT")"
+    base_ms="$(extract_t1 ms_per_frame "$BASELINE")"
+    cur_ms="$(extract_t1 ms_per_frame "$CURRENT")"
 fi
 
 if [[ -z "$base_ms" || -z "$cur_ms" ]]; then
@@ -158,14 +104,17 @@ if [[ -z "$base_ms" || -z "$cur_ms" ]]; then
     exit 2
 fi
 
-base_cores="$(extract_cores "$BASELINE")"
-cur_cores="$(extract_cores "$CURRENT")"
-if [[ -n "$base_cores" && -n "$cur_cores" && "$base_cores" != "$cur_cores" ]]; then
-    echo "diff_bench.sh: SKIP — baseline recorded on a $base_cores-core" \
-         "machine, current on $cur_cores cores (cross-machine ms/frame" \
-         "is not comparable)"
-    exit 0
-fi
+# Same-machine, same-pipeline pairs only: ms/frame across core counts,
+# or across different timed frame loops, is not comparable.
+for field in machine_cores pipeline; do
+    base_val="$(extract_field "$field" "$BASELINE")"
+    cur_val="$(extract_field "$field" "$CURRENT")"
+    if [[ -n "$base_val" && -n "$cur_val" && "$base_val" != "$cur_val" ]]; then
+        echo "diff_bench.sh: SKIP — $field differs (baseline" \
+             "$base_val, current $cur_val): ms/frame is not comparable"
+        exit 0
+    fi
+done
 
 # check_metric LABEL BASE CUR [ABS_SLACK_MS]
 #
@@ -216,44 +165,17 @@ if [[ "$server_mode" == "1" ]]; then
     exit 0
 fi
 
-base_raster="$(extract_t1_raster_ms "$BASELINE")"
-cur_raster="$(extract_t1_raster_ms "$CURRENT")"
-if [[ -n "$base_raster" && -n "$cur_raster" ]]; then
-    check_metric "raster_ms" "$base_raster" "$cur_raster" "$STAGE_ABS_SLACK_MS"
-else
-    echo "diff_bench.sh: raster_ms gate skipped (no per-stage breakdown" \
-         "in one of the files)"
-fi
-
-# The delta tracker is the other stage with a dedicated SIMD kernel;
-# gate it with the same threshold so a tracker regression cannot hide
-# behind improvements elsewhere.
-base_tracker="$(extract_t1_tracker_ms "$BASELINE")"
-cur_tracker="$(extract_t1_tracker_ms "$CURRENT")"
-if [[ -n "$base_tracker" && -n "$cur_tracker" ]]; then
-    check_metric "tracker_ms" "$base_tracker" "$cur_tracker" "$STAGE_ABS_SLACK_MS"
-else
-    echo "diff_bench.sh: tracker_ms gate skipped (no per-stage" \
-         "breakdown in one of the files)"
-fi
-
-# The bin and sort stages own the fused cross-tile batching and key-sort
-# path; gate them too so a dispatch- or kernel-level regression in either
-# cannot hide behind the (larger) raster improvements.
-base_bin="$(extract_t1_bin_ms "$BASELINE")"
-cur_bin="$(extract_t1_bin_ms "$CURRENT")"
-if [[ -n "$base_bin" && -n "$cur_bin" ]]; then
-    check_metric "bin_ms" "$base_bin" "$cur_bin" "$STAGE_ABS_SLACK_MS"
-else
-    echo "diff_bench.sh: bin_ms gate skipped (no per-stage breakdown" \
-         "in one of the files)"
-fi
-
-base_sort="$(extract_t1_sort_ms "$BASELINE")"
-cur_sort="$(extract_t1_sort_ms "$CURRENT")"
-if [[ -n "$base_sort" && -n "$cur_sort" ]]; then
-    check_metric "sort_ms" "$base_sort" "$cur_sort" "$STAGE_ABS_SLACK_MS"
-else
-    echo "diff_bench.sh: sort_ms gate skipped (no per-stage breakdown" \
-         "in one of the files)"
-fi
+# Per-stage gates: the raster and tracker stages carry dedicated SIMD
+# kernels, and the bin and sort stages own the fused cross-tile batching
+# and key-sort path — a regression in any one must not hide behind
+# improvements elsewhere.
+for stage in raster_ms tracker_ms bin_ms sort_ms; do
+    base_stage="$(extract_t1 "$stage" "$BASELINE")"
+    cur_stage="$(extract_t1 "$stage" "$CURRENT")"
+    if [[ -n "$base_stage" && -n "$cur_stage" ]]; then
+        check_metric "$stage" "$base_stage" "$cur_stage" "$STAGE_ABS_SLACK_MS"
+    else
+        echo "diff_bench.sh: $stage gate skipped (no per-stage breakdown" \
+             "in one of the files)"
+    fi
+done

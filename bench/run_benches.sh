@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
 # Machine-readable perf trajectory entry point.
 #
-# Runs the thread-scaling bench (with the per-stage breakdown) against an
-# existing build and writes the trajectory JSON into the repo root, so
-# every PR appends a comparable point (BENCH_PR<n>.json) that
+# Runs the thread-scaling bench (the served frame loop, stage by stage)
+# against an existing build and writes the trajectory JSON into the repo
+# root, so every PR appends a comparable point (BENCH_PR<n>.json) that
 # bench/diff_bench.sh can gate against the previous one.
 #
 #   bench/run_benches.sh [BUILD_DIR] [OUTPUT_JSON]
 #
 # BUILD_DIR defaults to ./build; OUTPUT_JSON to ./BENCH_PR7.json — pass
-# the PR's own filename explicitly from CI.
+# the PR's own filename explicitly from CI. The "pr" field comes from an
+# output name of the form BENCH_PR<n>.json or BENCH_PR<n>_<suffix>.json.
 # Knobs: NEO_BENCH_GAUSSIANS / NEO_BENCH_FRAMES_SCALING / NEO_BENCH_THREADS
 # shrink or grow the run (CI smoke uses the defaults); NEO_BENCH_PR sets
 # the "pr" field when the output name does not imply it;
@@ -48,7 +49,7 @@ INTEGRITY="${NEO_BENCH_INTEGRITY:-off}"
 # Derive the trajectory point number from the output name when possible.
 PR="${NEO_BENCH_PR:-}"
 if [[ -z "$PR" ]]; then
-    if [[ "$(basename "$OUT_JSON")" =~ BENCH_PR([0-9]+)\.json ]]; then
+    if [[ "$(basename "$OUT_JSON")" =~ ^BENCH_PR([0-9]+)(_[A-Za-z0-9_]+)?\.json$ ]]; then
         PR="${BASH_REMATCH[1]}"
     else
         PR=5
@@ -73,8 +74,7 @@ fi
        --pr "$PR" \
        --raster-mode "$RASTER_MODE" \
        --integrity "$INTEGRITY" \
-       ${FAST_EXP_FLAG[@]+"${FAST_EXP_FLAG[@]}"} \
-       --stage
+       ${FAST_EXP_FLAG[@]+"${FAST_EXP_FLAG[@]}"}
 
 echo "run_benches.sh: wrote $OUT_JSON"
 

@@ -37,10 +37,13 @@
 #                 loopback chaos suite, and the crash-recovery suites)
 #                 under ThreadSanitizer.
 #   NEO_BENCH_JSON        output trajectory point
-#                         (default: BENCH_PR10_scaling.json)
+#                         (default: BENCH_PR13_scaling.json)
 #   NEO_BENCH_BASELINE    previous trajectory point
-#                         (default: BENCH_PR9_scaling.json)
-#   NEO_BENCH_SERVER_JSON serving-layer sweep output (default: BENCH_PR10.json)
+#                         (default: BENCH_PR12_scaling.json, recorded on a
+#                         4-core box; its BENCH_PR12_scaling_integrity.json
+#                         and BENCH_PR12.json siblings are the matching
+#                         check-mode and serving-layer reference points)
+#   NEO_BENCH_SERVER_JSON serving-layer sweep output (default: BENCH_PR13.json)
 set -euo pipefail
 
 cd "$(dirname "$0")"
@@ -48,9 +51,9 @@ cd "$(dirname "$0")"
 BUILD_DIR="${BUILD_DIR:-build}"
 BUILD_TYPE="${BUILD_TYPE:-}"
 JOBS="${JOBS:-$(nproc)}"
-NEO_BENCH_JSON="${NEO_BENCH_JSON:-BENCH_PR10_scaling.json}"
-NEO_BENCH_BASELINE="${NEO_BENCH_BASELINE:-BENCH_PR9_scaling.json}"
-NEO_BENCH_SERVER_JSON="${NEO_BENCH_SERVER_JSON:-BENCH_PR10.json}"
+NEO_BENCH_JSON="${NEO_BENCH_JSON:-BENCH_PR13_scaling.json}"
+NEO_BENCH_BASELINE="${NEO_BENCH_BASELINE:-BENCH_PR12_scaling.json}"
+NEO_BENCH_SERVER_JSON="${NEO_BENCH_SERVER_JSON:-BENCH_PR13.json}"
 
 cmake -B "$BUILD_DIR" -S . -DNEO_WERROR=ON \
     ${BUILD_TYPE:+-DCMAKE_BUILD_TYPE="$BUILD_TYPE"} "$@"
@@ -262,7 +265,7 @@ if [[ "${NEO_CI_BENCH:-0}" == "1" ]]; then
         # check-mode overhead above 10% ms/frame at threads=1 fails CI.
         NEO_INTEGRITY_JSON="${NEO_BENCH_JSON%.json}_integrity.json"
         echo "ci.sh: running check-mode integrity bench point"
-        if ! NEO_BENCH_INTEGRITY=check NEO_BENCH_PR="${NEO_BENCH_PR:-10}" \
+        if ! NEO_BENCH_INTEGRITY=check \
              bench/run_benches.sh "$BUILD_DIR" "$NEO_INTEGRITY_JSON"; then
             echo "ci.sh: WARNING integrity bench failed (non-gating)" >&2
         else
@@ -273,8 +276,9 @@ if [[ "${NEO_CI_BENCH:-0}" == "1" ]]; then
         # The serving-layer sweep: bench_server fails by itself when any
         # delivered hash differs from the solo run (isolation contract),
         # and diff_bench.sh gates its 1-session/threads=1 point against
-        # the scaling point — the serving layer (queues, QoS, watchdogs,
-        # hashing) must stay within 10% of the bare staged render loop.
+        # the scaling point — both time the same NeoRenderer frame loop
+        # and per-frame hash, so the serving layer (queues, QoS,
+        # watchdogs) must stay within 10% of it.
         # --net adds the loopback socket sweep: the same workload over
         # the framed wire protocol, with the per-request overhead
         # recorded in a "net_points" array the gate ignores. --checkpoint
@@ -283,7 +287,7 @@ if [[ "${NEO_CI_BENCH:-0}" == "1" ]]; then
         # file.
         echo "ci.sh: running multi-session serving bench"
         if ! "$BUILD_DIR/bench/bench_server" --json "$NEO_BENCH_SERVER_JSON" \
-             --pr "${NEO_BENCH_PR:-10}" --net --checkpoint; then
+             --pr "${NEO_BENCH_PR:-13}" --net --checkpoint; then
             echo "ci.sh: FAIL — serving bench failed (isolation contract" \
                  "or crash)" >&2
             exit 1

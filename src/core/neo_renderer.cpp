@@ -29,15 +29,36 @@ referenceOptions(PipelineOptions opts)
     return opts;
 }
 
-using steady_clock = std::chrono::steady_clock;
-
-double
-msSince(steady_clock::time_point t0)
+/** Laps the monotonic clock into a StageTimings sink (zeroed on
+    construction); without a sink every call is a no-op. */
+class StageClock
 {
-    return std::chrono::duration<double, std::milli>(steady_clock::now() -
-                                                     t0)
-        .count();
-}
+    using clock = std::chrono::steady_clock;
+
+  public:
+    explicit StageClock(StageTimings *sink) : sink_(sink)
+    {
+        if (sink_) {
+            *sink_ = StageTimings{};
+            t0_ = clock::now();
+        }
+    }
+
+    /** Charge the time since the previous lap to @p stage. */
+    void lap(double StageTimings::*stage)
+    {
+        if (!sink_)
+            return;
+        const clock::time_point now = clock::now();
+        sink_->*stage =
+            std::chrono::duration<double, std::milli>(now - t0_).count();
+        t0_ = now;
+    }
+
+  private:
+    StageTimings *sink_;
+    clock::time_point t0_;
+};
 
 } // namespace
 
@@ -121,34 +142,39 @@ NeoRenderer::binStage(const GaussianScene &scene, const Camera &camera,
     }
 }
 
-void
-NeoRenderer::sortStage(uint64_t frame_index)
+std::vector<std::vector<TileEntry>> &
+NeoRenderer::sortStage(uint64_t frame_index, FramePath path)
 {
-    // (The tracker's prev-id fence runs inside beginFrame: verified on
-    // entry to observe(), re-sealed when the new membership is adopted.)
-    sorter_.beginFrame(frame_, frame_index);
-    if (integrity_.enabled()) {
-        // Sorting fence: the persistent tables are final for this frame
-        // once beginFrame returns (the deferred depth update runs inside
-        // it); they are the orderings rasterization consumes.
-        auto &tables = sorter_.mutableTables().tables();
-        integrity_.sealTiles(IntegrityStage::Sorting, kIntegritySortTables,
-                             tables);
-        faultinject::corruptTiles(kIntegritySortTables, tables);
-        integrity_.verifyTiles(IntegrityStage::Sorting,
-                               kIntegritySortTables, tables);
+    std::vector<std::vector<TileEntry>> *sorted = &frame_.tiles;
+    if (path == FramePath::Reuse) {
+        sorter_.sortFrame(frame_, frame_index);
+        sorted = &sorter_.mutableTables().tables();
+    } else {
+        // The persistent tables are neither read nor written, so the
+        // reuse sorter carries no trace of this frame.
+        sortTablesBatched(frame_.tiles, opts().threads,
+                          direct_sort_scratch_);
     }
+    if (integrity_.enabled()) {
+        // Sorting fence: the sorted tables are final for this frame (the
+        // reuse path's deferred depth update runs inside sortFrame); they
+        // are the orderings rasterization consumes.
+        integrity_.sealTiles(IntegrityStage::Sorting, kIntegritySortTables,
+                             *sorted);
+        faultinject::corruptTiles(kIntegritySortTables, *sorted);
+        integrity_.verifyTiles(IntegrityStage::Sorting,
+                               kIntegritySortTables, *sorted);
+    }
+    return *sorted;
 }
 
 void
 NeoRenderer::rasterStage(Image &out, uint64_t frame_index,
-                         const std::vector<std::vector<TileEntry>> &orderings,
-                         std::vector<std::vector<TileEntry>> &sort_tables,
+                         std::vector<std::vector<TileEntry>> &sorted,
                          FrameStats &stats)
 {
     IntegrityContext *ctx = integrity_.enabled() ? &integrity_ : nullptr;
-    shared_->base().renderInto(out, frame_, orderings, &stats, &arena_,
-                               ctx);
+    shared_->base().renderInto(out, frame_, sorted, &stats, &arena_, ctx);
 
     if (integrity_.mode() == IntegrityMode::Recover &&
         integrity_.frameFaulted()) {
@@ -160,17 +186,17 @@ NeoRenderer::rasterStage(Image &out, uint64_t frame_index,
         // re-verifying the fenced inputs turns that contract into
         // end-to-end attestation: the delivered frame hash equals the
         // uncorrupted reference.
-        shared_->reference().renderInto(out, frame_, orderings, &stats,
+        shared_->reference().renderInto(out, frame_, sorted, &stats,
                                         nullptr, &integrity_);
-        // Re-verify the fenced inputs. On the direct path the frame's
+        // Re-verify the fenced inputs. On the Direct path the frame's
         // tile lists were depth-sorted in place after the binning seal,
         // so only the sorting fence (sealed post-sort) still applies —
-        // &sort_tables == &frame_.tiles there.
-        if (&sort_tables != &frame_.tiles)
+        // &sorted == &frame_.tiles there.
+        if (&sorted != &frame_.tiles)
             integrity_.verifyTiles(IntegrityStage::Binning,
                                    kIntegrityBinTiles, frame_.tiles);
         integrity_.verifyTiles(IntegrityStage::Sorting,
-                               kIntegritySortTables, sort_tables);
+                               kIntegritySortTables, sorted);
         integrity_.markFrameRecovered();
     }
 
@@ -182,7 +208,7 @@ NeoRenderer::rasterStage(Image &out, uint64_t frame_index,
         // frame is delivered as-is and the mismatch flows through the
         // normal FaultReport path.
         faultinject::corruptSpan(kIntegrityAttestFrame, out.pixels());
-        shared_->reference().renderInto(attest_image_, frame_, orderings,
+        shared_->reference().renderInto(attest_image_, frame_, sorted,
                                         nullptr, nullptr, nullptr);
         const uint64_t expected = attest_image_.contentHash();
         const uint64_t actual = out.contentHash();
@@ -195,98 +221,48 @@ NeoRenderer::rasterStage(Image &out, uint64_t frame_index,
 }
 
 void
-NeoRenderer::finishFrame(FrameStats &stats, NeoFrameReport *report)
+NeoRenderer::finishFrame(FrameStats &stats, NeoFrameReport *report,
+                         FramePath path)
 {
     if (integrity_.enabled())
         integrity_.exportStats(stats.integrity);
+    // A Direct frame leaves the sorter untouched: it reports no sort
+    // counters and no reuse summary of its own.
+    const bool reuse = path == FramePath::Reuse;
+    const SortCoreStats sort = reuse ? sorter_.takeStats() : SortCoreStats{};
     if (report) {
         report->frame = stats;
-        report->sort = sorter_.takeStats();
-        report->reuse = sorter_.lastReport();
-    } else {
-        sorter_.takeStats();
+        report->sort = sort;
+        report->reuse = reuse ? sorter_.lastReport() : ReuseUpdateReport{};
     }
 }
 
 void
 NeoRenderer::renderFrameInto(Image &out, const GaussianScene &scene,
                              const Camera &camera, uint64_t frame_index,
-                             NeoFrameReport *report)
+                             NeoFrameReport *report, StageTimings *stages,
+                             FramePath path)
 {
+    StageClock clock(stages);
     binStage(scene, camera, frame_index);
-    sortStage(frame_index);
+    clock.lap(&StageTimings::bin_ms);
 
-    FrameStats stats;
-    rasterStage(out, frame_index, sorter_.orderings(),
-                sorter_.mutableTables().tables(), stats);
-    finishFrame(stats, report);
-}
-
-void
-NeoRenderer::renderFrameTimed(Image &out, const GaussianScene &scene,
-                              const Camera &camera, uint64_t frame_index,
-                              StageTimings &stages, NeoFrameReport *report)
-{
-    stages = StageTimings{};
-
-    auto t0 = steady_clock::now();
-    binStage(scene, camera, frame_index);
-    stages.bin_ms = msSince(t0);
-
-    // The delta tracker runs inside the sorter's beginFrame, so its cost
-    // is part of sort_ms; tracker_ms stays 0 on this path.
-    t0 = steady_clock::now();
-    sortStage(frame_index);
-    stages.sort_ms = msSince(t0);
-
-    FrameStats stats;
-    t0 = steady_clock::now();
-    rasterStage(out, frame_index, sorter_.orderings(),
-                sorter_.mutableTables().tables(), stats);
-    stages.raster_ms = msSince(t0);
-
-    finishFrame(stats, report);
-}
-
-void
-NeoRenderer::renderFrameDirect(Image &out, const GaussianScene &scene,
-                               const Camera &camera, uint64_t frame_index,
-                               StageTimings &stages, NeoFrameReport *report)
-{
-    stages = StageTimings{};
-
-    auto t0 = steady_clock::now();
-    binStage(scene, camera, frame_index);
-    stages.bin_ms = msSince(t0);
-
-    // Plain per-tile depth sort of the freshly binned lists — the
-    // persistent tables are neither read nor written, so the reuse
-    // sorter carries no trace of this frame (hence the caller-side
-    // reset() contract before the next reuse-path frame).
-    t0 = steady_clock::now();
-    sortTablesBatched(frame_.tiles, opts().threads, direct_sort_scratch_);
-    if (integrity_.enabled()) {
-        integrity_.sealTiles(IntegrityStage::Sorting, kIntegritySortTables,
-                             frame_.tiles);
-        faultinject::corruptTiles(kIntegritySortTables, frame_.tiles);
-        integrity_.verifyTiles(IntegrityStage::Sorting,
-                               kIntegritySortTables, frame_.tiles);
+    if (path == FramePath::Reuse) {
+        // The tracker's prev-id fence runs inside trackFrame: verified on
+        // entry to observe(), re-sealed when the new membership is
+        // adopted.
+        sorter_.trackFrame(frame_);
+        clock.lap(&StageTimings::tracker_ms);
     }
-    stages.sort_ms = msSince(t0);
+    std::vector<std::vector<TileEntry>> &sorted =
+        sortStage(frame_index, path);
+    clock.lap(&StageTimings::sort_ms);
 
     FrameStats stats;
-    static const std::vector<std::vector<TileEntry>> no_orderings;
-    t0 = steady_clock::now();
-    rasterStage(out, frame_index, no_orderings, frame_.tiles, stats);
-    stages.raster_ms = msSince(t0);
+    rasterStage(out, frame_index, sorted, stats);
+    clock.lap(&StageTimings::raster_ms);
 
-    if (integrity_.enabled())
-        integrity_.exportStats(stats.integrity);
-    if (report) {
-        report->frame = stats;
-        report->sort = SortCoreStats{};
-        report->reuse = ReuseUpdateReport{};
-    }
+    finishFrame(stats, report, path);
 }
 
 FrameWorkload
@@ -294,7 +270,8 @@ NeoRenderer::extractWorkload(const GaussianScene &scene,
                              const Camera &camera, uint64_t frame_index)
 {
     binStage(scene, camera, frame_index);
-    sortStage(frame_index);
+    sorter_.trackFrame(frame_);
+    sortStage(frame_index, FramePath::Reuse);
 
     FrameWorkload w =
         shared_->base().workloadFromBinned(frame_, camera.resolution());

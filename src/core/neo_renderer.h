@@ -91,45 +91,43 @@ class NeoRenderer
     Image renderFrame(const GaussianScene &scene, const Camera &camera,
                       uint64_t frame_index, NeoFrameReport *report = nullptr);
 
+    /** How renderFrameInto sorts the binned frame. */
+    enum class FramePath
+    {
+        /** Delta tracker + reuse-and-update sorter (the steady state). */
+        Reuse,
+        /**
+         * Degradation path: a plain per-tile depth sort of the freshly
+         * binned lists, leaving the sorter's persistent tables and the
+         * tracker untouched. The output is bit-identical to a cold-start
+         * render of the same camera. The skipped update leaves the
+         * tables stale, so the caller must reset() before the next
+         * Reuse frame — the serving layer does exactly that, trading one
+         * full re-sort for a skipped sorter update under deadline
+         * pressure.
+         */
+        Direct,
+    };
+
     /**
-     * renderFrame into a caller-owned image. This is the steady-state
-     * frame loop: the binned frame, the binning/raster scratch, and the
-     * sorter's persistent tables all live in this renderer and are
-     * refilled with capacity retained, so once warm the loop performs
-     * zero per-frame heap allocations on the binning/raster path.
+     * renderFrame into a caller-owned image — the one frame loop. The
+     * binned frame, the binning/raster scratch, and the sorter's
+     * persistent tables all live in this renderer and are refilled with
+     * capacity retained, so once warm the loop performs zero per-frame
+     * heap allocations on the binning/raster path.
+     *
+     * With @p stages set, each stage's monotonic wall-clock lands there:
+     * bin_ms covers binning plus its fences, tracker_ms the delta
+     * tracker (0 on the Direct path), sort_ms the sort plus the sorting
+     * fence, raster_ms rasterization plus any recover-mode re-render or
+     * attest cross-render. This is what the serving layer's budget
+     * controller and stage watchdogs consume.
      */
     void renderFrameInto(Image &out, const GaussianScene &scene,
                          const Camera &camera, uint64_t frame_index,
-                         NeoFrameReport *report = nullptr);
-
-    /**
-     * renderFrameInto with a per-stage wall-clock breakdown (monotonic
-     * clock) written to @p stages: bin_ms covers binning plus its
-     * fences, sort_ms the reuse-and-update sorter (the delta tracker
-     * runs inside the sorter's beginFrame, so its cost lands in sort_ms
-     * and tracker_ms stays 0), raster_ms rasterization plus any
-     * recover-mode re-render or attest cross-render. This is what the
-     * serving layer's budget controller and stage watchdogs consume.
-     */
-    void renderFrameTimed(Image &out, const GaussianScene &scene,
-                          const Camera &camera, uint64_t frame_index,
-                          StageTimings &stages,
-                          NeoFrameReport *report = nullptr);
-
-    /**
-     * Degradation path: render this frame from the freshly binned tile
-     * lists with a plain per-tile depth sort, leaving the reuse sorter's
-     * persistent tables untouched (no reordering, no deferred depth
-     * update). The output is bit-identical to a cold-start render of the
-     * same camera. Because the skipped update leaves the tables stale,
-     * the caller must reset() before the next reuse-path frame — the
-     * serving layer does exactly that, trading one full re-sort for a
-     * skipped sorter update under deadline pressure.
-     */
-    void renderFrameDirect(Image &out, const GaussianScene &scene,
-                           const Camera &camera, uint64_t frame_index,
-                           StageTimings &stages,
-                           NeoFrameReport *report = nullptr);
+                         NeoFrameReport *report = nullptr,
+                         StageTimings *stages = nullptr,
+                         FramePath path = FramePath::Reuse);
 
     /**
      * Run the pipeline without pixel work and emit the workload descriptor
@@ -206,19 +204,20 @@ class NeoRenderer
         fences. */
     void binStage(const GaussianScene &scene, const Camera &camera,
                   uint64_t frame_index);
-    /** Hand the binned frame to the reuse-and-update sorter behind the
-        sorting fence. */
-    void sortStage(uint64_t frame_index);
-    /** Rasterize via @p orderings, then run the recover-mode re-render
-        and the attest-mode cross-render when due. @p sort_tables is the
-        structure the frame's sorting fence sealed (the sorter's
-        persistent tables on the reuse path, the frame's own tile lists
-        on the direct path) — the recover re-verify targets it. */
+    /** Sort the binned frame along @p path (on the Reuse path after
+        sorter_.trackFrame) behind the sorting fence. Returns the sorted
+        tables: the sorter's persistent tables on the Reuse path, the
+        frame's own tile lists on the Direct path. */
+    std::vector<std::vector<TileEntry>> &sortStage(uint64_t frame_index,
+                                                   FramePath path);
+    /** Rasterize via @p sorted, then run the recover-mode re-render and
+        the attest-mode cross-render when due. @p sorted is also what
+        the sorting fence sealed, so the recover re-verify targets it. */
     void rasterStage(Image &out, uint64_t frame_index,
-                     const std::vector<std::vector<TileEntry>> &orderings,
-                     std::vector<std::vector<TileEntry>> &sort_tables,
+                     std::vector<std::vector<TileEntry>> &sorted,
                      FrameStats &stats);
-    void finishFrame(FrameStats &stats, NeoFrameReport *report);
+    void finishFrame(FrameStats &stats, NeoFrameReport *report,
+                     FramePath path);
 
     const PipelineOptions &opts() const { return shared_->options(); }
 

@@ -23,12 +23,16 @@ ReuseUpdateSorter::reset()
 }
 
 void
-ReuseUpdateSorter::beginFrame(const BinnedFrame &frame, uint64_t frame_index)
+ReuseUpdateSorter::trackFrame(const BinnedFrame &frame)
 {
     report_ = ReuseUpdateReport{};
     tracker_.observe(frame, delta_);
     report_.mean_retention = delta_.meanRetention();
+}
 
+void
+ReuseUpdateSorter::sortFrame(const BinnedFrame &frame, uint64_t frame_index)
+{
     if (tables_.tileCount() != frame.tiles.size()) {
         coldStart(frame);
     } else {

@@ -55,7 +55,21 @@ class ReuseUpdateSorter : public SortingStrategy
 
     std::string name() const override { return "reuse-update"; }
 
-    void beginFrame(const BinnedFrame &frame, uint64_t frame_index) override;
+    /** trackFrame then sortFrame: one frame of the whole flow. */
+    void beginFrame(const BinnedFrame &frame, uint64_t frame_index) override
+    {
+        trackFrame(frame);
+        sortFrame(frame, frame_index);
+    }
+
+    /** First half of beginFrame: diff @p frame's tile membership against
+        the previous frame's (DeltaTracker::observe) into lastDelta(). */
+    void trackFrame(const BinnedFrame &frame);
+
+    /** Second half of beginFrame: steps ①-④ driven by the delta
+        trackFrame just produced (a cold start on a tile-count change).
+        Split from trackFrame so the owner can time the two apart. */
+    void sortFrame(const BinnedFrame &frame, uint64_t frame_index);
 
     /** One knob drives every threaded stage, including delta tracking. */
     void setThreads(int threads) override

@@ -78,11 +78,12 @@ struct FrameWorkload
 };
 
 /**
- * Per-stage wall-clock of one staged frame: binning scatter, per-tile
- * depth sort, rasterization, and delta tracking, each in milliseconds.
- * Produced by the staged thread sweep (sim/perf_harness.h, as mean
- * ms/frame) and by NeoRenderer::renderFrameTimed (per frame); consumed
- * by the serving layer's budget controller and stage watchdogs.
+ * Per-stage wall-clock of one NeoRenderer frame, each in milliseconds:
+ * binning scatter, delta tracking, sort (the reuse-and-update sorter or
+ * the direct per-tile sort), and rasterization. Produced per frame by
+ * NeoRenderer::renderFrameInto when given a sink; consumed by the
+ * serving layer's budget controller (totalMs) and stage watchdogs, and
+ * averaged by the staged thread sweep (sim/perf_harness.h).
  */
 struct StageTimings
 {

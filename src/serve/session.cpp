@@ -160,30 +160,28 @@ Session::renderRequest(const Request &req, FrameOutcome &out)
         trajectory_.cameraAt(static_cast<int>(req.frame_index), res);
 
     frame_faults_.store(0, std::memory_order_relaxed);
+    const NeoRenderer::FramePath path =
+        plan.skip_sorter_update ? NeoRenderer::FramePath::Direct
+                                : NeoRenderer::FramePath::Reuse;
+    if (path == NeoRenderer::FramePath::Reuse &&
+        (sorter_stale_ || plan.resolution_drop != last_drop_)) {
+        // A previous direct-path frame left the persistent tables stale,
+        // or the resolution tier (and with it the tile-grid shape)
+        // changed; cold-start re-sort before reusing them.
+        renderer_->reset();
+    }
     StageTimings stages;
     {
         // Scope the frame work into this session's fault domain, so
         // domain-pinned injections (the soak test's victim targeting)
         // can only land here.
         faultinject::DomainScope scope(id_);
-        if (plan.skip_sorter_update) {
-            renderer_->renderFrameDirect(image_, *scene_, cam,
-                                         req.frame_index, stages);
-            sorter_stale_ = true;
-        } else {
-            if (sorter_stale_ || plan.resolution_drop != last_drop_) {
-                // A previous direct-path frame left the persistent
-                // tables stale, or the resolution tier (and with it the
-                // tile-grid shape) changed; cold-start re-sort before
-                // reusing them.
-                renderer_->reset();
-                sorter_stale_ = false;
-            }
-            renderer_->renderFrameTimed(image_, *scene_, cam,
-                                        req.frame_index, stages);
-            last_drop_ = plan.resolution_drop;
-        }
+        renderer_->renderFrameInto(image_, *scene_, cam, req.frame_index,
+                                   nullptr, &stages, path);
     }
+    sorter_stale_ = path == NeoRenderer::FramePath::Direct;
+    if (!sorter_stale_)
+        last_drop_ = plan.resolution_drop;
 
     // Artificial stall (test hook): sleep inside the frame and inflate
     // the stage sample so the watchdog sees the stall it models.

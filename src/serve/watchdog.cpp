@@ -59,11 +59,12 @@ int
 StageWatchdog::observeFrame(const StageTimings &stages)
 {
     // Feed every stage (each keeps its history warm) and report the
-    // first trip.
+    // first trip. The delta tracker is the first half of the reuse
+    // sorter, so it rides in the Sort stage.
     int tripped = -1;
     if (observe(Bin, stages.bin_ms))
         tripped = Bin;
-    if (observe(Sort, stages.sort_ms) && tripped < 0)
+    if (observe(Sort, stages.sort_ms + stages.tracker_ms) && tripped < 0)
         tripped = Sort;
     if (observe(Raster, stages.raster_ms) && tripped < 0)
         tripped = Raster;

@@ -7,12 +7,10 @@
 #include <utility>
 #include <vector>
 
-#include "common/faultinject.h"
 #include "common/frame_arena.h"
-#include "common/integrity.h"
 #include "common/parallel.h"
 #include "core/delta_tracker.h"
-#include "gs/tile_sort.h"
+#include "core/neo_renderer.h"
 #include "gs/tiling.h"
 
 namespace neo
@@ -126,54 +124,6 @@ extractSequences(const GaussianScene &scene, const Trajectory &trajectory,
 }
 
 std::vector<ThreadScalingPoint>
-sweepRenderThreads(const GaussianScene &scene, const Trajectory &trajectory,
-                   Resolution res, int frames,
-                   const std::vector<int> &thread_counts,
-                   PipelineOptions opts)
-{
-    using clock = std::chrono::steady_clock;
-
-    std::vector<ThreadScalingPoint> points;
-    points.reserve(thread_counts.size());
-    for (int requested : thread_counts) {
-        opts.threads = requested;
-        Renderer renderer(opts);
-        BinnedFrame frame;
-        FrameArena arena;
-        Image image;
-        const std::vector<std::vector<TileEntry>> no_orderings;
-        auto renderOnce = [&](int f) {
-            renderer.prepareInto(frame, arena, scene,
-                                 trajectory.cameraAt(f, res));
-            renderer.renderInto(image, frame, no_orderings, nullptr,
-                                &arena);
-        };
-
-        // One untimed warm-up frame spins up the worker pool, faults in
-        // the scene and grows the reused buffers to their working size,
-        // so the timed frames measure the allocation-free steady state.
-        renderOnce(0);
-
-        auto t0 = clock::now();
-        for (int f = 0; f < frames; ++f)
-            renderOnce(f);
-        auto t1 = clock::now();
-
-        ThreadScalingPoint p;
-        p.threads = resolveThreadCount(requested);
-        p.ms_per_frame =
-            std::chrono::duration<double, std::milli>(t1 - t0).count() /
-            std::max(frames, 1);
-        p.frame_hash = image.contentHash();
-        p.speedup = points.empty()
-                        ? 1.0
-                        : points.front().ms_per_frame / p.ms_per_frame;
-        points.push_back(p);
-    }
-    return points;
-}
-
-std::vector<ThreadScalingPoint>
 sweepRenderThreadsStaged(const GaussianScene &scene,
                          const Trajectory &trajectory, Resolution res,
                          int frames, const std::vector<int> &thread_counts,
@@ -184,132 +134,52 @@ sweepRenderThreadsStaged(const GaussianScene &scene,
         return std::chrono::duration<double, std::milli>(clock::now() - t0)
             .count();
     };
+    frames = std::max(frames, 1);
 
     std::vector<ThreadScalingPoint> points;
     points.reserve(thread_counts.size());
     for (int requested : thread_counts) {
         opts.threads = requested;
-        const int threads = resolveThreadCount(requested);
-        Renderer renderer(opts);
-        DeltaTracker tracker;
-        tracker.setThreads(threads);
-        BinnedFrame frame;
-        FrameArena arena;
-        FrameDelta delta;
+        NeoRenderer renderer(opts);
         Image image;
-        BatchSortScratch sort_scratch;
-        const std::vector<std::vector<TileEntry>> no_orderings;
-
-        // Integrity fences run inside the timed stage sections, so a
-        // check/recover sweep point measures the mode's true per-stage
-        // overhead (this is where BENCH_PR6's check-vs-off delta comes
-        // from); with the mode off every fence is a no-op branch.
-        IntegrityContext integrity;
-        integrity.configure(resolveIntegrityMode(opts.integrity));
-        const bool fenced = integrity.enabled();
-        IntegrityContext *ctx = fenced ? &integrity : nullptr;
-        if (fenced)
-            tracker.setIntegrity(ctx);
-
-        StageTimings acc;
-        FrameStats last_stats;
-        auto frameOnce = [&](int f, bool timed) {
-            const Camera cam = trajectory.cameraAt(f, res);
-            auto t0 = clock::now();
-            if (fenced)
-                integrity.beginFrame(static_cast<uint64_t>(f));
-            binFrameInto(frame, arena, scene, cam, opts.tile_px, threads);
-            if (fenced) {
-                integrity.sealTiles(IntegrityStage::Binning,
-                                    kIntegrityBinTiles, frame.tiles);
-                faultinject::corruptTiles(kIntegrityBinTiles, frame.tiles);
-                integrity.verifyTiles(IntegrityStage::Binning,
-                                      kIntegrityBinTiles, frame.tiles);
-                // Projection fences over the feature SoA arrays (filled
-                // by the binning scatter) — same placement as the
-                // NeoRenderer frame loop, inside the timed bin section
-                // so check-mode overhead stays honestly measured.
-                integrity.sealSpan(IntegrityStage::Projection,
-                                   kIntegrityProjMean2d, frame.mean2d);
-                integrity.sealSpan(IntegrityStage::Projection,
-                                   kIntegrityProjRadius, frame.radius_px);
-                integrity.sealSpan(IntegrityStage::Projection,
-                                   kIntegrityProjDepth, frame.depth);
-                integrity.sealSpan(IntegrityStage::Projection,
-                                   kIntegrityProjConic, frame.conic);
-                faultinject::corruptSpan(kIntegrityProjMean2d,
-                                         frame.mean2d);
-                faultinject::corruptSpan(kIntegrityProjRadius,
-                                         frame.radius_px);
-                faultinject::corruptSpan(kIntegrityProjDepth, frame.depth);
-                faultinject::corruptSpan(kIntegrityProjConic, frame.conic);
-                integrity.verifySpan(IntegrityStage::Projection,
-                                     kIntegrityProjMean2d, frame.mean2d);
-                integrity.verifySpan(IntegrityStage::Projection,
-                                     kIntegrityProjRadius,
-                                     frame.radius_px);
-                integrity.verifySpan(IntegrityStage::Projection,
-                                     kIntegrityProjDepth, frame.depth);
-                integrity.verifySpan(IntegrityStage::Projection,
-                                     kIntegrityProjConic, frame.conic);
-            }
-            if (timed)
-                acc.bin_ms += ms_since(t0);
-
-            t0 = clock::now();
-            // Fused cross-tile batching: tiny tiles pack into ~256-entry
-            // batches and sort through the key kernel — one pool dispatch
-            // per batch instead of per tile, bit-identical to per-tile
-            // std::sort(entryDepthLess) at any thread count.
-            sortTablesBatched(frame.tiles, threads, sort_scratch);
-            if (fenced) {
-                // The sorted tile lists are the orderings rasterization
-                // consumes — the staged loop's analogue of the sorter's
-                // persistent tables.
-                integrity.sealTiles(IntegrityStage::Sorting,
-                                    kIntegritySortTables, frame.tiles);
-                faultinject::corruptTiles(kIntegritySortTables,
-                                          frame.tiles);
-                integrity.verifyTiles(IntegrityStage::Sorting,
-                                      kIntegritySortTables, frame.tiles);
-            }
-            if (timed)
-                acc.sort_ms += ms_since(t0);
-
-            t0 = clock::now();
-            renderer.renderInto(image, frame, no_orderings, &last_stats,
-                                &arena, ctx);
-            if (timed)
-                acc.raster_ms += ms_since(t0);
-
-            t0 = clock::now();
-            tracker.observe(frame, delta);
-            if (timed)
-                acc.tracker_ms += ms_since(t0);
-            if (fenced)
-                integrity.exportStats(last_stats.integrity);
-        };
-
-        // Untimed warm-up: pool spin-up, scene faults, buffer growth.
-        frameOnce(0, false);
-        for (int f = 0; f < frames; ++f)
-            frameOnce(f, true);
-
-        const double denom = std::max(frames, 1);
+        NeoFrameReport report;
+        StageTimings stages;
         ThreadScalingPoint p;
-        p.threads = threads;
-        p.has_stages = true;
-        p.stages.bin_ms = acc.bin_ms / denom;
-        p.stages.sort_ms = acc.sort_ms / denom;
-        p.stages.raster_ms = acc.raster_ms / denom;
-        p.stages.tracker_ms = acc.tracker_ms / denom;
-        p.ms_per_frame = p.stages.totalMs();
-        p.frame_hash = image.contentHash();
-        p.last_frame = last_stats;
+        p.threads = resolveThreadCount(requested);
+        p.frame_hashes.reserve(static_cast<size_t>(frames));
+
+        // Untimed cold start: pool spin-up, scene faults, buffer growth
+        // and the full first-frame sort.
+        renderer.renderFrameInto(image, scene, trajectory.cameraAt(0, res),
+                                 0);
+
+        const clock::time_point wall0 = clock::now();
+        for (int f = 1; f <= frames; ++f) {
+            renderer.renderFrameInto(image, scene,
+                                     trajectory.cameraAt(f, res),
+                                     static_cast<uint64_t>(f), &report,
+                                     &stages);
+            // The serving layer hashes every delivered frame.
+            const clock::time_point h0 = clock::now();
+            p.frame_hashes.push_back(image.contentHash());
+            p.hash_ms += ms_since(h0);
+            p.stages.bin_ms += stages.bin_ms;
+            p.stages.tracker_ms += stages.tracker_ms;
+            p.stages.sort_ms += stages.sort_ms;
+            p.stages.raster_ms += stages.raster_ms;
+        }
+        p.ms_per_frame = ms_since(wall0) / frames;
+
+        p.stages.bin_ms /= frames;
+        p.stages.tracker_ms /= frames;
+        p.stages.sort_ms /= frames;
+        p.stages.raster_ms /= frames;
+        p.hash_ms /= frames;
+        p.last_frame = report.frame;
         p.speedup = points.empty()
                         ? 1.0
                         : points.front().ms_per_frame / p.ms_per_frame;
-        points.push_back(p);
+        points.push_back(std::move(p));
     }
     return points;
 }

@@ -3,12 +3,14 @@
  * Trajectory-level simulation harness shared by the paper-reproduction
  * benches: extracts per-frame workload descriptors for a scene+trajectory
  * at a given resolution (once per tile geometry) and feeds them through
- * the GPU / GSCore / Neo models.
+ * the GPU / GSCore / Neo models; plus the staged thread-scaling sweep
+ * that times the served NeoRenderer frame loop stage by stage.
  */
 
 #ifndef NEO_SIM_PERF_HARNESS_H
 #define NEO_SIM_PERF_HARNESS_H
 
+#include <cstdint>
 #include <vector>
 
 #include "gs/pipeline.h"
@@ -66,58 +68,47 @@ WorkloadSequences extractSequences(const GaussianScene &scene,
                                    bool want16 = true, bool want64 = true,
                                    int threads = 0);
 
-// StageTimings lives in gs/pipeline.h (the serving layer consumes it
-// per frame); the staged sweep stores mean ms/frame in the same struct.
-
-/** One measurement of the thread-scaling sweep. */
+/** One measurement of the staged thread-scaling sweep. */
 struct ThreadScalingPoint
 {
     int threads = 1;          //!< effective worker-thread count
-    double ms_per_frame = 0;  //!< mean wall-clock per frame
+    double ms_per_frame = 0;  //!< mean wall-clock per timed frame
     double speedup = 1.0;     //!< vs the sweep's first (baseline) point
-    uint64_t frame_hash = 0;  //!< FNV-1a over the last rendered frame
-    bool has_stages = false;  //!< stage breakdown populated?
-    StageTimings stages;      //!< per-stage ms (staged sweep only)
+    StageTimings stages;      //!< mean per-stage ms per timed frame
+    double hash_ms = 0;       //!< mean Image::contentHash ms per frame
+    /** contentHash of every timed frame, in frame order. */
+    std::vector<uint64_t> frame_hashes;
     /**
-     * Functional counters of the last rendered frame (staged sweep only).
-     * The blocked/reference rasterizer A/B in bench_scaling compares
-     * these field by field — the two paths must agree exactly, not just
-     * on the frame hash.
+     * Functional counters of the last rendered frame. The
+     * blocked/reference rasterizer A/B in bench_scaling compares these
+     * field by field — the two paths must agree exactly, not just on
+     * the frame hashes.
      */
     FrameStats last_frame;
 };
 
 /**
- * Thread-scaling sweep over the *functional* pipeline (not the cycle
- * models): render @p frames frames of @p trajectory at each requested
- * thread count and report wall-clock per frame plus a frame hash, which
- * must be identical across all points (determinism contract). The first
- * entry of @p thread_counts is the speedup baseline. The frame loop runs
- * steady state: binned frame, scratch arena and framebuffer persist
- * across frames with capacity retained.
+ * Thread-scaling sweep over the served frame loop (not the cycle
+ * models): at each requested thread count a fresh NeoRenderer walks
+ * @p trajectory through NeoRenderer::renderFrameInto, exactly as a
+ * serving session does. Frame 0 is an untimed cold start; frames
+ * 1..@p frames are timed reuse frames, each with its per-stage
+ * breakdown and its Image::contentHash (timed as hash_ms, since the
+ * serving layer hashes every delivered frame). ms_per_frame is the
+ * wall clock of those frames; the stage means plus hash_ms account for
+ * all of it but the per-frame camera set-up. Frame hashes must be
+ * identical across all points (determinism contract). The first entry
+ * of @p thread_counts is the speedup baseline.
  *
- * @param opts pipeline geometry for the sweep; opts.threads is overridden
- *        by each sweep point
- */
-std::vector<ThreadScalingPoint>
-sweepRenderThreads(const GaussianScene &scene, const Trajectory &trajectory,
-                   Resolution res, int frames,
-                   const std::vector<int> &thread_counts,
-                   PipelineOptions opts = {});
-
-/**
- * sweepRenderThreads with a per-stage breakdown: each frame runs the
- * explicit staged loop (binFrameInto -> per-tile sort -> renderInto ->
- * DeltaTracker::observe) with each stage timed separately, so the
- * elimination of serial stages is visible per stage and not just in the
- * frame total. ms_per_frame is the sum of the stage means; hashes obey
- * the same determinism contract as the plain sweep.
+ * @param opts pipeline options of the renderer (tile geometry,
+ *        raster/integrity modes); opts.threads is overridden by each
+ *        sweep point
  */
 std::vector<ThreadScalingPoint>
 sweepRenderThreadsStaged(const GaussianScene &scene,
                          const Trajectory &trajectory, Resolution res,
                          int frames, const std::vector<int> &thread_counts,
-                         PipelineOptions opts = {});
+                         PipelineOptions opts);
 
 /** Simulate a workload sequence on the GPU model. */
 SequenceResult simulateGpu(const GpuModel &model,

@@ -129,22 +129,29 @@ TEST(FrameArenaTest, ClearNestedKeepsInnerCapacity)
 TEST(ArenaReuseTest, NoCapacityRegrowthAcrossTenFrames)
 {
     // A static viewpoint makes every frame's working set identical, so
-    // after the warm-up frames the retained capacity must never move.
+    // after the warm-up frames the retained capacity must never move —
+    // with or without the serving layer's stage-timing sink.
     GaussianScene scene = test::tinySyntheticScene();
     Camera cam = test::frontCamera();
     for (int threads : {1, 2}) {
-        PipelineOptions opts = NeoRenderer::neoDefaultOptions();
-        opts.threads = threads;
-        NeoRenderer renderer(opts);
-        Image image;
-        renderer.renderFrameInto(image, scene, cam, 0);
-        renderer.renderFrameInto(image, scene, cam, 1);
-        const size_t warm = renderer.retainedScratchBytes();
-        EXPECT_GT(warm, 0u);
-        for (uint64_t f = 2; f < 10; ++f) {
-            renderer.renderFrameInto(image, scene, cam, f);
-            EXPECT_EQ(renderer.retainedScratchBytes(), warm)
-                << "threads=" << threads << " frame=" << f;
+        for (bool timed : {false, true}) {
+            PipelineOptions opts = NeoRenderer::neoDefaultOptions();
+            opts.threads = threads;
+            NeoRenderer renderer(opts);
+            Image image;
+            StageTimings stages;
+            StageTimings *sink = timed ? &stages : nullptr;
+            renderer.renderFrameInto(image, scene, cam, 0, nullptr, sink);
+            renderer.renderFrameInto(image, scene, cam, 1, nullptr, sink);
+            const size_t warm = renderer.retainedScratchBytes();
+            EXPECT_GT(warm, 0u);
+            for (uint64_t f = 2; f < 10; ++f) {
+                renderer.renderFrameInto(image, scene, cam, f, nullptr,
+                                         sink);
+                EXPECT_EQ(renderer.retainedScratchBytes(), warm)
+                    << "threads=" << threads << " timed=" << timed
+                    << " frame=" << f;
+            }
         }
     }
 }

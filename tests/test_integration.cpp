@@ -146,6 +146,37 @@ TEST(IntegrationTest, WorkloadPipelineFeedsAllModels)
     EXPECT_LT(gscore.totalTrafficGB(), gpu.totalTrafficGB());
 }
 
+TEST(IntegrationTest, StagedSweepTimesTheServedFrameLoop)
+{
+    GaussianScene scene = test::tinySyntheticScene(3000, 9);
+    Trajectory traj(TrajectoryKind::Orbit, scene);
+    const int frames = 3;
+    const PipelineOptions opts = NeoRenderer::neoDefaultOptions();
+    const std::vector<ThreadScalingPoint> points = sweepRenderThreadsStaged(
+        scene, traj, test::smallRes(), frames, {1, 2}, opts);
+    ASSERT_EQ(points.size(), 2u);
+
+    // The timed frames are frames 1..N of a NeoRenderer walk whose
+    // frame 0 was the cold start.
+    NeoRenderer solo(opts);
+    Image image;
+    std::vector<uint64_t> expected;
+    for (int f = 0; f <= frames; ++f) {
+        solo.renderFrameInto(image, scene, traj.cameraAt(f, test::smallRes()),
+                             static_cast<uint64_t>(f));
+        if (f > 0)
+            expected.push_back(image.contentHash());
+    }
+    for (const ThreadScalingPoint &p : points) {
+        EXPECT_EQ(p.frame_hashes, expected) << "threads=" << p.threads;
+        EXPECT_GT(p.stages.tracker_ms, 0.0);
+        EXPECT_GT(p.hash_ms, 0.0);
+        // The stages are disjoint slices of the timed wall clock.
+        EXPECT_LE(p.stages.totalMs() + p.hash_ms, p.ms_per_frame);
+        EXPECT_GT(p.last_frame.instances, 0u);
+    }
+}
+
 TEST(IntegrationTest, RapidMotionDegradesRetentionNotCorrectness)
 {
     // Fig. 17(b) precondition: faster camera -> lower retention -> more

@@ -337,6 +337,12 @@ TEST(StageWatchdogTest, ObserveFrameFeedsAllStagesAndReportsFirstTrip)
     // The other stages' histories stayed warm through the stalled frame.
     EXPECT_GT(wd.rollingMedian(StageWatchdog::Bin), 0.0);
     EXPECT_GT(wd.rollingMedian(StageWatchdog::Raster), 0.0);
+
+    // The delta tracker is the reuse sorter's first half: a stall only
+    // in tracker_ms trips the Sort stage.
+    StageTimings tracker_stalled = normal;
+    tracker_stalled.tracker_ms = 100.0;
+    EXPECT_EQ(wd.observeFrame(tracker_stalled), StageWatchdog::Sort);
 }
 
 TEST(StageWatchdogTest, ResetDropsHistoryAndRearmsWarmup)
