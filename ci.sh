@@ -32,18 +32,20 @@
 #                 checkpoint + write-ahead journal overhead at threads=1
 #                 is gated at <=10% over the plain run in the same file.
 #   NEO_CI_TSAN   when 1, build a second tree with -DNEO_SANITIZE=thread
-#                 and run the server-, net- and durability-labelled tests
-#                 (the concurrent session drivers, the socket front end's
-#                 loopback chaos suite, and the crash-recovery suites)
-#                 under ThreadSanitizer.
+#                 and run the server-, net-, durability- and
+#                 invariants-labelled tests (the concurrent session
+#                 drivers, the socket front end's loopback chaos suite,
+#                 the crash-recovery suites and the thread-count
+#                 determinism checks) plus test_parallel (the scheduler's
+#                 shared claim cursor) under ThreadSanitizer.
 #   NEO_BENCH_JSON        output trajectory point
-#                         (default: BENCH_PR13_scaling.json)
+#                         (default: BENCH_PR14_scaling.json)
 #   NEO_BENCH_BASELINE    previous trajectory point
-#                         (default: BENCH_PR12_scaling.json, recorded on a
-#                         4-core box; its BENCH_PR12_scaling_integrity.json
-#                         and BENCH_PR12.json siblings are the matching
+#                         (default: BENCH_PR13_scaling.json, recorded on a
+#                         4-core box; its BENCH_PR13_scaling_integrity.json
+#                         and BENCH_PR13.json siblings are the matching
 #                         check-mode and serving-layer reference points)
-#   NEO_BENCH_SERVER_JSON serving-layer sweep output (default: BENCH_PR13.json)
+#   NEO_BENCH_SERVER_JSON serving-layer sweep output (default: BENCH_PR14.json)
 set -euo pipefail
 
 cd "$(dirname "$0")"
@@ -51,9 +53,9 @@ cd "$(dirname "$0")"
 BUILD_DIR="${BUILD_DIR:-build}"
 BUILD_TYPE="${BUILD_TYPE:-}"
 JOBS="${JOBS:-$(nproc)}"
-NEO_BENCH_JSON="${NEO_BENCH_JSON:-BENCH_PR13_scaling.json}"
-NEO_BENCH_BASELINE="${NEO_BENCH_BASELINE:-BENCH_PR12_scaling.json}"
-NEO_BENCH_SERVER_JSON="${NEO_BENCH_SERVER_JSON:-BENCH_PR13.json}"
+NEO_BENCH_JSON="${NEO_BENCH_JSON:-BENCH_PR14_scaling.json}"
+NEO_BENCH_BASELINE="${NEO_BENCH_BASELINE:-BENCH_PR13_scaling.json}"
+NEO_BENCH_SERVER_JSON="${NEO_BENCH_SERVER_JSON:-BENCH_PR14.json}"
 
 cmake -B "$BUILD_DIR" -S . -DNEO_WERROR=ON \
     ${BUILD_TYPE:+-DCMAKE_BUILD_TYPE="$BUILD_TYPE"} "$@"
@@ -83,6 +85,29 @@ ctest --test-dir "$BUILD_DIR" -L net --output-on-failure -j "$JOBS"
 # real-binary SIGKILL-and-resume attestation.
 echo "ci.sh: re-running durability-labelled tests"
 ctest --test-dir "$BUILD_DIR" -L durability --output-on-failure -j "$JOBS"
+
+# Scratch capacity must not depend on timing: heaviest-first scheduling
+# hands tiles to whichever participant is free, and four concurrent
+# copies of the arena suite (zero-alloc and no-regrowth at threads 1, 2
+# and 4) starve each other's pool workers — the load that shuffles the
+# tile -> participant mapping most.
+echo "ci.sh: arena suite under contention (4 copies x 20 repeats)"
+ARENA_PIDS=()
+for i in 1 2 3 4; do
+    "$BUILD_DIR/tests/test_frame_arena" --gtest_repeat=20 \
+        >"$BUILD_DIR/frame_arena_contention_$i.log" 2>&1 &
+    ARENA_PIDS+=($!)
+done
+ARENA_FAIL=0
+for pid in "${ARENA_PIDS[@]}"; do
+    wait "$pid" || ARENA_FAIL=1
+done
+if [[ "$ARENA_FAIL" != 0 ]]; then
+    echo "ci.sh: FAIL — test_frame_arena failed under contention" >&2
+    grep -h -B2 -A8 "FAILED\|Failure" \
+        "$BUILD_DIR"/frame_arena_contention_*.log | head -80 >&2 || true
+    exit 1
+fi
 
 # Loopback end-to-end smoke over the real binaries: neo_serve_net binds
 # an ephemeral port and prints the solo reference hashes; the client
@@ -227,16 +252,20 @@ if [[ "${NEO_CI_TSAN:-0}" == "1" ]]; then
     # exactly the kind of thing TSAN catches and unit asserts miss. The
     # net label rides along: its chaos suite runs the poll loop in a
     # dedicated thread against blocking clients, the same
-    # loop-thread-vs-driver shape the front end ships with.
+    # loop-thread-vs-driver shape the front end ships with. The
+    # invariants label and test_parallel cover the heaviest-first
+    # scheduler: its shared claim cursor and the post-join high-water
+    # pass over per-participant scratch.
     TSAN_DIR="${TSAN_DIR:-build-tsan}"
     echo "ci.sh: building with -fsanitize=thread into $TSAN_DIR"
     cmake -B "$TSAN_DIR" -S . -DNEO_WERROR=ON -DNEO_SANITIZE=thread \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo
     cmake --build "$TSAN_DIR" -j "$JOBS"
-    echo "ci.sh: running server-, net- and durability-labelled tests" \
-         "under TSAN"
-    ctest --test-dir "$TSAN_DIR" -L 'server|net|durability' \
+    echo "ci.sh: running server-, net-, durability- and" \
+         "invariants-labelled tests plus test_parallel under TSAN"
+    ctest --test-dir "$TSAN_DIR" -L 'server|net|durability|invariants' \
         --output-on-failure -j "$JOBS"
+    "$TSAN_DIR/tests/test_parallel"
 fi
 
 if [[ "${NEO_CI_BENCH:-0}" == "1" ]]; then
@@ -287,7 +316,7 @@ if [[ "${NEO_CI_BENCH:-0}" == "1" ]]; then
         # file.
         echo "ci.sh: running multi-session serving bench"
         if ! "$BUILD_DIR/bench/bench_server" --json "$NEO_BENCH_SERVER_JSON" \
-             --pr "${NEO_BENCH_PR:-13}" --net --checkpoint; then
+             --pr "${NEO_BENCH_PR:-14}" --net --checkpoint; then
             echo "ci.sh: FAIL — serving bench failed (isolation contract" \
                  "or crash)" >&2
             exit 1

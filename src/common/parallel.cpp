@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <numeric>
 
 #if defined(__linux__)
 #include <pthread.h>
@@ -155,6 +156,21 @@ parallelChunkRange(size_t n, size_t chunks, size_t chunk)
     r.begin = chunk * base + std::min(chunk, extra);
     r.end = r.begin + base + (chunk < extra ? 1 : 0);
     return r;
+}
+
+void
+orderHeaviestFirst(BatchPlan &plan)
+{
+    plan.claim_order.resize(plan.batches.size());
+    std::iota(plan.claim_order.begin(), plan.claim_order.end(), size_t{0});
+    // A strict total order (no two indices compare equal), so the
+    // permutation is fully determined by the weights.
+    std::sort(plan.claim_order.begin(), plan.claim_order.end(),
+              [&](size_t a, size_t b) {
+                  const size_t wa = plan.batches[a].weight;
+                  const size_t wb = plan.batches[b].weight;
+                  return wa != wb ? wa > wb : a < b;
+              });
 }
 
 ThreadPool::~ThreadPool()

@@ -1,17 +1,26 @@
 /**
  * @file
  * Deterministic tile-parallel execution layer: a small persistent thread
- * pool plus parallelFor with *static* chunking.
+ * pool, parallelFor with *static* chunking for loops of uniform per-item
+ * cost, and parallelForBatched with *heaviest-first self-scheduling* for
+ * the per-tile stages, whose cost is skewed (a few centre tiles can carry
+ * half of a frame's raster work).
  *
  * Determinism contract (guarded by tests/test_determinism.cpp): for any
  * thread count, every parallel section of the pipeline produces bit-exact
  * the same results as the serial path, because
- *  - the iteration space is split into at most `threads` contiguous
- *    chunks whose boundaries depend only on (n, threads), never on timing;
- *  - chunk bodies write disjoint outputs (tiles own disjoint pixel
- *    rectangles, per-Gaussian slots are index-addressed);
- *  - accumulators are kept per chunk and merged in fixed chunk order
- *    after the join.
+ *  - parallelFor splits the iteration space into at most `threads`
+ *    contiguous chunks whose boundaries depend only on (n, threads);
+ *    parallelForBatched's batches and claim order depend only on the
+ *    item weights. Which thread runs which chunk or batch is decided at
+ *    run time and is *not* deterministic;
+ *  - bodies write disjoint outputs (tiles own disjoint pixel rectangles
+ *    and tables, per-Gaussian slots are index-addressed);
+ *  - accumulators are kept per chunk and merged after the join. Under
+ *    parallelFor a chunk always covers the same items, so any merge in
+ *    fixed chunk order is deterministic; under parallelForBatched a
+ *    chunk covers whichever batches it claimed, so its accumulators
+ *    must merge order-independently (integer sums).
  * With threads == 1 the body runs inline on the caller thread and the pool
  * is never touched, reproducing the historical serial path bit for bit.
  *
@@ -252,68 +261,130 @@ parallelForEach(size_t n, int threads, Body &&body)
     });
 }
 
+/** One fused batch: the items [begin, end) and their summed weight. */
+struct WeightedBatch
+{
+    size_t begin = 0;
+    size_t end = 0;
+    size_t weight = 0;
+
+    size_t size() const { return end - begin; }
+};
+
+/**
+ * The batches of one parallelForBatched dispatch and the order its
+ * participants claim them in. Filled by buildWeightedBatchesInto; both
+ * vectors keep their capacity, so a warm frame loop rebuilds its plan
+ * without allocating.
+ */
+struct BatchPlan
+{
+    /** Contiguous batches partitioning [0, n), in item order. */
+    std::vector<WeightedBatch> batches;
+    /** Batch indices heaviest first, ties broken by the lower index. */
+    std::vector<size_t> claim_order;
+
+    size_t size() const { return batches.size(); }
+
+    /** Nested heap capacity, surfaced to FrameArena::retainedBytes. */
+    size_t capacityBytes() const
+    {
+        return batches.capacity() * sizeof(WeightedBatch) +
+               claim_order.capacity() * sizeof(size_t);
+    }
+};
+
+/**
+ * Rebuild @p plan's claim order from its batches' weights: descending
+ * weight, ties by ascending index. A pure function of the weights.
+ */
+void orderHeaviestFirst(BatchPlan &plan);
+
 /**
  * Pack the items of [0, n) into contiguous weighted batches: each batch
  * is either a single item whose weight reaches @p grain on its own, or a
  * maximal run of smaller items whose combined weight stays at (about)
- * @p grain. The result is a pure function of (n, grain, weights) — batch
- * boundaries never depend on the thread count — so batched dispatch
- * preserves the determinism contract. @p out is reused (cleared first);
- * zero-weight items simply join the current batch, and a batch always
- * holds at least one item.
+ * @p grain. Each batch keeps its summed weight, and the plan's claim
+ * order is rebuilt from those weights (orderHeaviestFirst). Batches and
+ * order are a pure function of (n, grain, weights) — they never depend
+ * on the thread count. @p out is reused (cleared first); zero-weight
+ * items simply join the current batch, and a batch always holds at
+ * least one item.
  *
  * This is the dispatch-granularity fix for stages made of thousands of
  * tiny independent problems (per-tile sorts): instead of one work item
  * per tile — where the per-item bookkeeping dwarfs a 3-entry sort — the
- * pool sees fused ~grain-sized batches of roughly equal cost, so static
- * chunking over batches is weight-balanced even when tile sizes span
- * four orders of magnitude.
+ * pool sees fused ~grain-sized batches, while a heavy tile stays a batch
+ * of its own that the scheduler can start first.
  */
 template <typename WeightFn>
 void
-buildWeightedBatchesInto(std::vector<ParallelRange> &out, size_t n,
-                         size_t grain, WeightFn &&weight)
+buildWeightedBatchesInto(BatchPlan &out, size_t n, size_t grain,
+                         WeightFn &&weight)
 {
-    out.clear();
+    out.batches.clear();
     size_t begin = 0;
     size_t acc = 0;
     for (size_t i = 0; i < n; ++i) {
         const size_t w = weight(i);
         if (i > begin && acc + w > grain) {
-            out.push_back({begin, i});
+            out.batches.push_back({begin, i, acc});
             begin = i;
             acc = 0;
         }
         acc += w;
         if (acc >= grain) {
-            out.push_back({begin, i + 1});
+            out.batches.push_back({begin, i + 1, acc});
             begin = i + 1;
             acc = 0;
         }
     }
     if (begin < n)
-        out.push_back({begin, n});
+        out.batches.push_back({begin, n, acc});
+    orderHeaviestFirst(out);
 }
 
 /**
- * Fused batched dispatch: invoke body(begin, end, chunk) once per batch
- * (item range [begin, end)), where @p chunk is the pool-chunk index the
- * batch executes under — the index callers use for per-chunk scratch and
- * accumulators, sized with parallelChunkCount(batches.size(), threads).
- * Batches are statically chunked in batch order exactly like parallelFor
- * items, so with weight-equalized batches every chunk carries roughly
- * equal work; the serial path runs the batches in order inline.
+ * Heaviest-first self-scheduled dispatch: invoke body(begin, end, chunk)
+ * once per batch of @p plan. Exactly parallelChunkCount(plan.size(),
+ * threads) participants run, each under its own chunk index — the index
+ * callers use for per-chunk scratch and accumulators, sized with that
+ * same count. Participants claim batches from one shared cursor over the
+ * plan's claim order, so the heaviest batches start first and the light
+ * ones fill in behind them: the stage finishes when its work runs out,
+ * not when its unluckiest static chunk does.
+ *
+ * Which participant runs which batch depends on timing. Bodies must
+ * therefore write only batch-owned outputs, and per-chunk accumulators
+ * must merge order-independently (integer sums). Per-chunk scratch that
+ * is reused across frames should be grown to one shared capacity after
+ * the dispatch (growToHighWater in common/frame_arena.h), so retained
+ * capacity does not depend on which participant drew the largest batch.
+ *
+ * With threads <= 1, a single batch, or when already inside a parallel
+ * region, the batches run inline in index order under chunk 0. The first
+ * exception thrown by any batch is rethrown after the join; the batches
+ * other participants claim still run.
  */
 template <typename Body>
 void
-parallelForBatched(const std::vector<ParallelRange> &batches, int threads,
-                   Body &&body)
+parallelForBatched(const BatchPlan &plan, int threads, Body &&body)
 {
-    parallelFor(batches.size(), threads,
-                [&](size_t b_begin, size_t b_end, size_t chunk) {
-                    for (size_t b = b_begin; b < b_end; ++b)
-                        body(batches[b].begin, batches[b].end, chunk);
-                });
+    const size_t n = plan.size();
+    const size_t participants = parallelChunkCount(n, threads);
+    if (participants <= 1 || ThreadPool::insideParallelRegion()) {
+        for (const WeightedBatch &b : plan.batches)
+            body(b.begin, b.end, size_t{0});
+        return;
+    }
+    std::atomic<size_t> cursor{0};
+    ThreadPool::shared().run(participants, [&](size_t chunk) {
+        for (size_t k = cursor.fetch_add(1, std::memory_order_relaxed);
+             k < n; k = cursor.fetch_add(1, std::memory_order_relaxed)) {
+            const WeightedBatch &b = plan.batches[plan.claim_order[k]];
+            body(b.begin, b.end, chunk);
+        }
+    });
 }
 
 /**

@@ -122,13 +122,10 @@ class ReuseUpdateSorter : public SortingStrategy
      * with a matching tile count takes the reuse path and produces
      * orderings bit-identical to an uninterrupted run; a mismatched tile
      * count cold-starts exactly as it would have before the restore.
+     * The per-tile spare merge buffers start empty, one per table.
      */
     void restore(std::vector<std::vector<TileEntry>> tables,
-                 std::vector<std::vector<GaussianId>> prev_ids)
-    {
-        tables_.tables() = std::move(tables);
-        tracker_.restorePrevIds(std::move(prev_ids));
-    }
+                 std::vector<std::vector<GaussianId>> prev_ids);
 
     /** Forget all cross-frame state. */
     void reset();
@@ -137,34 +134,53 @@ class ReuseUpdateSorter : public SortingStrategy
     void coldStart(const BinnedFrame &frame);
     void updateFrame(const BinnedFrame &frame, uint64_t frame_index);
     void deferredDepthUpdate(const BinnedFrame &frame);
+    /** Size the per-participant scratch for dispatches over batches_ and
+        zero its counters. */
+    void prepareScratch();
+    /** Merge the per-participant counters into the frame's totals, then
+        run the high-water pass over the participants' buffers. */
+    void collectScratch();
 
     /**
-     * Per-worker-chunk working memory of updateFrame, persistent across
-     * frames: the sorted-incoming staging buffer, the MSU+ merge output
-     * (whose storage is swapped with the tile table each merge, so the
-     * two buffers recycle each other), and the frame's chunk-local
-     * counters. Chunk indices are stable across frames for a fixed
-     * (tile count, threads), which is what makes the reuse sound.
+     * Per-participant working memory of the frame's tile dispatches,
+     * persistent across frames: the sorted-incoming staging buffer, the
+     * MSU merge staging buffer of the chunk sorts, and the frame's
+     * counters. A participant runs whichever tiles it claims
+     * (parallelForBatched), so the counters are integer sums merged
+     * order-independently, and the buffers are grown to one shared
+     * high-water capacity after the dispatches (growToHighWater): the
+     * retained capacity depends on the tiles, not on which participant
+     * drew the largest one.
      */
     struct UpdateScratch
     {
         SortCoreStats stats;
         uint64_t incoming = 0;
         uint64_t deleted = 0;
+        uint64_t outgoing_marked = 0;
         std::vector<TileEntry> incoming_sorted;
-        std::vector<TileEntry> merged;
+        std::vector<TileEntry> merge_runs;
     };
 
     DynamicPartialConfig dps_;
     TileTableSet tables_;
+    /**
+     * Per-tile MSU+ merge output. Tile t merges into spares_[t] and swaps
+     * it with its table, so a tile's two buffers recycle each other and
+     * grow only to that tile's own size. (A per-participant output buffer
+     * would swap through every tile its participant claims, growing them
+     * all toward the largest.) Sized and cleared with the tables by
+     * coldStart and restore, dropped by reset; never snapshotted.
+     */
+    std::vector<std::vector<TileEntry>> spares_;
     DeltaTracker tracker_;
     FrameDelta delta_;
     ReuseUpdateReport report_;
     std::vector<UpdateScratch> update_scratch_;
     /** Fused tile batches of the current frame (see parallelForBatched):
-        rebuilt each frame from the per-tile work weights, reusing
-        capacity. */
-    std::vector<ParallelRange> batches_;
+        rebuilt by coldStart/updateFrame from the per-tile work weights,
+        reusing capacity, and reused by deferredDepthUpdate. */
+    BatchPlan batches_;
 };
 
 } // namespace neo

@@ -26,13 +26,32 @@ struct RasterAccum
     size_t capacityBytes() const { return scratch.capacityBytes(); }
 };
 
-/** Arena keys of the raster accumulators and the batched tile-sort
- *  scratch (see kArenaKeysRaster). */
+/** Arena keys of the raster accumulators, the raster batch plan and the
+ *  batched tile-sort scratch (see kArenaKeysRaster). */
 enum : int
 {
     kKeyRasterAccums = kArenaKeysRaster + 0,
     kKeySortScratch = kArenaKeysRaster + 1,
+    kKeyRasterPlan = kArenaKeysRaster + 2,
 };
+
+/**
+ * Raster batching grain: every non-empty tile is a batch of its own. One
+ * tile's blend work dwarfs a cursor claim, and the heaviest-first
+ * scheduler balances best when the heavy centre tiles stay separate.
+ */
+constexpr size_t kRasterBatchGrain = 1;
+
+/** The single element of arena buffer @p key, created on first use. */
+template <typename T>
+T &
+arenaSingleton(FrameArena &arena, int key)
+{
+    std::vector<T> &v = arena.buffer<T>(key);
+    if (v.empty())
+        v.resize(1);
+    return v.front();
+}
 
 } // namespace
 
@@ -72,10 +91,9 @@ Renderer::prepareInto(BinnedFrame &frame, FrameArena &arena,
     // tiles fuse into ~256-entry batches so the pool dispatches per
     // batch, and each batch sorts through the key kernel — bit-identical
     // to per-tile std::sort(entryDepthLess) at any thread count.
-    auto &sort_scratch = arena.buffer<BatchSortScratch>(kKeySortScratch);
-    if (sort_scratch.empty())
-        sort_scratch.resize(1);
-    sortTablesBatched(frame.tiles, threads, sort_scratch.front());
+    sortTablesBatched(frame.tiles, threads,
+                      arenaSingleton<BatchSortScratch>(arena,
+                                                       kKeySortScratch));
 }
 
 Image
@@ -138,44 +156,53 @@ Renderer::renderInto(Image &image, const BinnedFrame &frame,
     local.mean_tile_length = frame.meanTileLength();
 
     // Tiles own disjoint pixel rectangles of the framebuffer, so parallel
-    // rasterization is race-free; counters accumulate per chunk and merge
-    // in fixed chunk order below to stay deterministic.
+    // rasterization is race-free. Tiles are scheduled heaviest first
+    // (weight = the tile's sorted entry count); the counters accumulate
+    // per participant and merge as integer sums, so they do not depend
+    // on which participant rasterized which tile.
     const int threads = resolveThreadCount(opts_.threads);
     const size_t tile_count = static_cast<size_t>(grid.tileCount());
-    auto rasterChunk = [&](size_t begin, size_t end, RasterAccum &acc) {
+    auto tileOrder = [&](size_t t) -> const std::vector<TileEntry> & {
+        return (t < orderings.size() && !orderings[t].empty())
+                   ? orderings[t]
+                   : frame.tiles[t];
+    };
+    // Steady-state path: the plan and the accumulators (with their
+    // ITU/blend scratch) live in the caller's arena and are reused frame
+    // after frame; a one-shot render keeps them local.
+    BatchPlan local_plan;
+    std::vector<RasterAccum> local_accums;
+    BatchPlan &plan =
+        arena ? arenaSingleton<BatchPlan>(*arena, kKeyRasterPlan)
+              : local_plan;
+    std::vector<RasterAccum> &accums =
+        arena ? arena->buffer<RasterAccum>(kKeyRasterAccums)
+              : local_accums;
+    buildWeightedBatchesInto(plan, tile_count, kRasterBatchGrain,
+                             [&](size_t t) { return tileOrder(t).size(); });
+    const size_t chunks = parallelChunkCount(plan.size(), threads);
+    if (accums.size() < chunks)
+        accums.resize(chunks);
+    for (RasterAccum &acc : accums)
+        acc.stats = RasterStats{};
+    parallelForBatched(plan, threads,
+                       [&](size_t begin, size_t end, size_t chunk) {
+        RasterAccum &acc = accums[chunk];
         for (size_t t = begin; t < end; ++t) {
-            const std::vector<TileEntry> &order =
-                (t < orderings.size() && !orderings[t].empty())
-                    ? orderings[t]
-                    : frame.tiles[t];
+            const std::vector<TileEntry> &order = tileOrder(t);
             if (order.empty())
                 continue;
-            acc.stats +=
-                rasterizeTile(order, frame, static_cast<int>(t),
-                              opts_.raster, &image, nullptr, &acc.scratch,
-                              integrity);
+            acc.stats += rasterizeTile(order, frame, static_cast<int>(t),
+                                       opts_.raster, &image, nullptr,
+                                       &acc.scratch, integrity);
         }
-    };
-    if (arena) {
-        // Steady-state path: accumulators (and their ITU/blend scratch)
-        // live in the caller's arena and are reused frame after frame.
-        const size_t chunks = parallelChunkCount(tile_count, threads);
-        auto &accums = arena->buffer<RasterAccum>(kKeyRasterAccums);
-        if (accums.size() != chunks)
-            accums.resize(chunks);
-        for (RasterAccum &acc : accums)
-            acc.stats = RasterStats{};
-        parallelFor(tile_count, threads,
-                    [&](size_t begin, size_t end, size_t chunk) {
-                        rasterChunk(begin, end, accums[chunk]);
-                    });
-        for (const RasterAccum &acc : accums)
-            local.raster += acc.stats;
-    } else {
-        for (const RasterAccum &a : parallelForAccumulate<RasterAccum>(
-                 tile_count, threads, rasterChunk))
-            local.raster += a.stats;
-    }
+    });
+    if (arena)
+        growToHighWater(accums, [](RasterAccum &acc) {
+            return RasterScratch::buffers(acc.scratch);
+        });
+    for (const RasterAccum &acc : accums)
+        local.raster += acc.stats;
     if (stats)
         *stats = local;
 }

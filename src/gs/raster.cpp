@@ -8,6 +8,7 @@
 #include <limits>
 #include <vector>
 
+#include "common/frame_arena.h"
 #include "common/integrity.h"
 #include "common/logging.h"
 
@@ -75,23 +76,7 @@ fastExpNegative(float x)
 size_t
 RasterScratch::capacityBytes() const
 {
-    return bitmaps.capacity() * sizeof(SubtileBitmap) +
-           accum.capacity() * sizeof(Vec3) +
-           done.capacity() * sizeof(uint8_t) +
-           gauss_color.capacity() * sizeof(Vec3) +
-           (bucket_offsets.capacity() + bucket_entries.capacity() +
-            surv_idx.capacity()) *
-               sizeof(uint32_t) +
-           (transmittance.capacity() + gauss_mean_x.capacity() +
-            gauss_mean_y.capacity() + gauss_conic_a.capacity() +
-            gauss_conic_b.capacity() + gauss_conic_c.capacity() +
-            gauss_opacity.capacity() + gauss_power_cut.capacity() +
-            gauss_dx_bound_sq.capacity() + gauss_dy_bound_sq.capacity() +
-            block_power.capacity() + block_t.capacity() +
-            block_r.capacity() + block_g.capacity() + block_b.capacity() +
-            block_cx.capacity() + block_cy.capacity() +
-            surv_pow.capacity() + surv_exp.capacity()) *
-               sizeof(float);
+    return buffersCapacityBytes(buffers(*this));
 }
 
 namespace

@@ -30,6 +30,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "common/image.h"
@@ -247,6 +248,25 @@ struct RasterScratch
     std::vector<float> block_b;
     std::vector<float> block_cx;
     std::vector<float> block_cy;
+
+    /**
+     * Every member vector of @p s, as a std::tie of references: the one
+     * list capacityBytes and the raster stage's high-water pass
+     * (growToHighWater) walk.
+     */
+    template <typename Self>
+    static auto buffers(Self &s)
+    {
+        return std::tie(s.bitmaps, s.transmittance, s.accum, s.done,
+                        s.gauss_mean_x, s.gauss_mean_y, s.gauss_conic_a,
+                        s.gauss_conic_b, s.gauss_conic_c, s.gauss_opacity,
+                        s.gauss_power_cut, s.gauss_dx_bound_sq,
+                        s.gauss_dy_bound_sq, s.gauss_color,
+                        s.bucket_offsets, s.bucket_entries, s.surv_idx,
+                        s.surv_pow, s.surv_exp, s.block_power, s.block_t,
+                        s.block_r, s.block_g, s.block_b, s.block_cx,
+                        s.block_cy);
+    }
 
     /**
      * Bytes of heap capacity currently held by every member vector.

@@ -4,7 +4,10 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <tuple>
 #include <vector>
+
+#include "common/frame_arena.h"
 
 namespace neo
 {
@@ -94,6 +97,8 @@ sortTablesBatched(std::vector<std::vector<TileEntry>> &tables, int threads,
                            for (size_t t = begin; t < end; ++t)
                                keySortTable(tables[t], s);
                        });
+    growToHighWater(scratch.per_chunk,
+                    [](TileSortScratch &s) { return std::tie(s.keys); });
 }
 
 } // namespace neo

@@ -45,18 +45,18 @@ struct TileSortScratch
 };
 
 /**
- * Reusable working set of sortTablesBatched: the fused batch ranges plus
- * one TileSortScratch per pool chunk, both capacity-retained across
- * frames so the steady-state loop allocates nothing.
+ * Reusable working set of sortTablesBatched: the fused batch plan plus
+ * one TileSortScratch per dispatch participant, both capacity-retained
+ * across frames so the steady-state loop allocates nothing.
  */
 struct BatchSortScratch
 {
-    std::vector<ParallelRange> batches;
+    BatchPlan batches;
     std::vector<TileSortScratch> per_chunk;
 
     size_t capacityBytes() const
     {
-        size_t total = batches.capacity() * sizeof(ParallelRange) +
+        size_t total = batches.capacityBytes() +
                        per_chunk.capacity() * sizeof(TileSortScratch);
         for (const TileSortScratch &s : per_chunk)
             total += s.capacityBytes();
@@ -83,11 +83,12 @@ void keySortTable(std::vector<TileEntry> &table, TileSortScratch &scratch);
 /**
  * Sort every table with the key-sort kernel through one fused batched
  * dispatch: small tiles pack into ~kSortBatchGrain-entry batches
- * (buildWeightedBatchesInto) and the pool executes batches, not tiles.
- * Output is bit-identical to per-tile std::sort(entryDepthLess) at any
- * thread count; each tile's result lands in place, i.e. in tile-index
- * order. @p grain is the batching threshold knob (entries per fused
- * batch); @p scratch is reused across frames.
+ * (buildWeightedBatchesInto) and the pool executes batches, heaviest
+ * first (parallelForBatched). Output is bit-identical to per-tile
+ * std::sort(entryDepthLess) at any thread count; each tile's result
+ * lands in place. @p grain is the batching threshold knob (entries per
+ * fused batch); @p scratch is reused across frames, its per-participant
+ * key buffers grown to one shared high-water capacity after each call.
  */
 void sortTablesBatched(std::vector<std::vector<TileEntry>> &tables,
                        int threads, BatchSortScratch &scratch,

@@ -177,6 +177,48 @@ readIdVectors(ByteReader &r, std::vector<std::vector<GaussianId>> *out)
     return r.ok();
 }
 
+/** The reply-visible fields of a FrameOutcome (not its stage timings). */
+void
+writeOutcome(ByteWriter &w, const FrameOutcome &o)
+{
+    w.u64(o.request);
+    w.boolean(o.rendered);
+    w.u64(o.frame_hash);
+    w.i32(o.resolution_drop);
+    w.boolean(o.direct_path);
+    w.boolean(o.deadline_missed);
+    w.u32(o.faults);
+    w.i32(o.watchdog_stage);
+    w.u8(static_cast<uint8_t>(o.state));
+    w.u32(o.rebuilds);
+}
+
+bool
+readOutcome(ByteReader &r, FrameOutcome *out)
+{
+    FrameOutcome o;
+    o.request = r.u64();
+    const uint8_t rendered = r.u8();
+    o.frame_hash = r.u64();
+    o.resolution_drop = r.i32();
+    const uint8_t direct_path = r.u8();
+    const uint8_t deadline_missed = r.u8();
+    o.faults = r.u32();
+    o.watchdog_stage = r.i32();
+    const uint8_t state = r.u8();
+    o.rebuilds = r.u32();
+    if (!r.ok() || rendered > 1 || direct_path > 1 ||
+        deadline_missed > 1 || state > 2 || o.watchdog_stage < -1 ||
+        o.watchdog_stage >= StageWatchdog::kStageCount)
+        return false;
+    o.rendered = rendered != 0;
+    o.direct_path = direct_path != 0;
+    o.deadline_missed = deadline_missed != 0;
+    o.state = static_cast<SessionState>(state);
+    *out = o;
+    return true;
+}
+
 void
 encodeSessionPayload(std::vector<uint8_t> &out, const SessionDurable &s)
 {
@@ -215,6 +257,8 @@ encodeSessionPayload(std::vector<uint8_t> &out, const SessionDurable &s)
     w.i32(s.budget.on_time_streak);
     w.u64(s.budget.degradations);
     w.u64(s.budget.restores);
+    w.u8(s.has_last_outcome);
+    writeOutcome(w, s.last_outcome);
     w.u8(s.has_renderer);
     writeTileVectors(w, s.tables);
     writeIdVectors(w, s.prev_ids);
@@ -262,6 +306,9 @@ decodeSessionPayload(const uint8_t *data, size_t len, SessionDurable *out)
     s.budget.on_time_streak = r.i32();
     s.budget.degradations = r.u64();
     s.budget.restores = r.u64();
+    s.has_last_outcome = r.u8();
+    if (!readOutcome(r, &s.last_outcome))
+        return false;
     s.has_renderer = r.u8();
     if (!readTileVectors(r, &s.tables))
         return false;
@@ -269,7 +316,8 @@ decodeSessionPayload(const uint8_t *data, size_t len, SessionDurable *out)
         return false;
     if (!r.done())
         return false;
-    if (s.state > 2 || s.sorter_stale > 1 || s.has_renderer > 1)
+    if (s.state > 2 || s.sorter_stale > 1 || s.has_renderer > 1 ||
+        s.has_last_outcome > 1)
         return false;
     *out = std::move(s);
     return true;

@@ -3,16 +3,16 @@
  * Versioned, integrity-fenced snapshot container of the durable serving
  * mode (serve/durable/). A snapshot captures the complete
  * session-critical state of a NeoServer — every live session's
- * SessionDurable (frame position, queue, QoS/degradation ladder,
- * persistent sorter tables, delta-tracker membership) plus the journal
- * coordinates it pairs with — so that a restarted process can reload it
- * and deterministically replay the journal suffix.
+ * SessionDurable (frame position, queue, last outcome, QoS/degradation
+ * ladder, persistent sorter tables, delta-tracker membership) plus the
+ * journal coordinates it pairs with — so that a restarted process can
+ * reload it and deterministically replay the journal suffix.
  *
  * Container layout (all integers little-endian):
  *
  *   offset  size  field
  *   0       4     magic         "NEOS" (0x534F454E as a LE u32)
- *   4       4     version       kSnapshotVersion (1)
+ *   4       4     version       kSnapshotVersion (2)
  *   8       4     section count
  *   12      ...   sections
  *   end-8   8     Digest64 over every preceding byte
@@ -57,7 +57,7 @@ class ByteReader;
 
 /** "NEOS" read little-endian. */
 inline constexpr uint32_t kSnapshotMagic = 0x534F454Eu;
-inline constexpr uint32_t kSnapshotVersion = 1;
+inline constexpr uint32_t kSnapshotVersion = 2;
 /** Fixed prefix: magic + version + section count. */
 inline constexpr size_t kSnapshotHeaderSize = 12;
 /** Per-section prefix: type + length + crc32. */

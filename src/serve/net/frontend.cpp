@@ -282,33 +282,40 @@ NetFrontend::routeFrame(Conn &c, const DecodedFrame &frame)
             answerError(c, WireError::UnknownSession, 0);
             return false;
         }
-        const SubmitResult submit = session->submit(req.frame_index);
         SubmitReply reply;
-        reply.accepted = submit.accepted;
-        reply.coalesced = submit.coalesced;
-        reply.dropped_oldest = submit.dropped_oldest;
-        reply.retry_after_frames = submit.retry_after_frames;
-        if (submit.accepted) {
+        FrameOutcome outcome;
+        if (session->lastOutcome(req.frame_index, &outcome)) {
+            // A retry of the request stepped last, whose reply was lost
+            // (a crash after its journal record, or a dropped
+            // connection): answer it again rather than render it twice.
+            reply.accepted = true;
+            reply.stepped = true;
+        } else {
+            const SubmitResult submit = session->submit(req.frame_index);
+            reply.accepted = submit.accepted;
+            reply.coalesced = submit.coalesced;
+            reply.dropped_oldest = submit.dropped_oldest;
+            reply.retry_after_frames = submit.retry_after_frames;
             // Render inline: one step per accepted submission keeps the
             // reply tied to this very request and the queue at depth 0.
-            FrameOutcome outcome;
-            reply.stepped = session->step(&outcome);
-            if (reply.stepped) {
-                reply.rendered = outcome.rendered;
-                reply.direct_path = outcome.direct_path;
-                reply.deadline_missed = outcome.deadline_missed;
-                reply.request = outcome.request;
-                reply.frame_hash = outcome.frame_hash;
-                reply.resolution_drop =
-                    static_cast<uint8_t>(outcome.resolution_drop);
-                reply.state = static_cast<uint8_t>(outcome.state);
-                reply.watchdog_stage =
-                    static_cast<int8_t>(outcome.watchdog_stage);
-                reply.faults = outcome.faults;
-                reply.rebuilds = outcome.rebuilds;
-            }
-        } else {
-            reply.state = static_cast<uint8_t>(session->state());
+            if (submit.accepted)
+                reply.stepped = session->step(&outcome);
+            else
+                reply.state = static_cast<uint8_t>(session->state());
+        }
+        if (reply.stepped) {
+            reply.rendered = outcome.rendered;
+            reply.direct_path = outcome.direct_path;
+            reply.deadline_missed = outcome.deadline_missed;
+            reply.request = outcome.request;
+            reply.frame_hash = outcome.frame_hash;
+            reply.resolution_drop =
+                static_cast<uint8_t>(outcome.resolution_drop);
+            reply.state = static_cast<uint8_t>(outcome.state);
+            reply.watchdog_stage =
+                static_cast<int8_t>(outcome.watchdog_stage);
+            reply.faults = outcome.faults;
+            reply.rebuilds = outcome.rebuilds;
         }
         encodeSubmitReply(out, reply);
         break;

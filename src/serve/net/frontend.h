@@ -10,6 +10,10 @@
  * once before the reply is encoded — so replies arrive in request order,
  * carry the FrameOutcome (including the frame hash) of the very request
  * they answer, and per-session queues never build up behind the socket.
+ * A resubmit of the frame index a session stepped last is answered from
+ * that step's outcome (Session::lastOutcome), not stepped again, so a
+ * client retrying a reply lost to a crash or a disconnect gets the
+ * frame exactly once.
  * NeoRenderer's stages are bit-exact at any thread count, so the hash a
  * client reads over the wire equals the solo-render hash — the property
  * the chaos suite asserts for healthy connections while siblings are

@@ -238,6 +238,7 @@ Session::step(FrameOutcome *outcome)
         if (entry_state == SessionState::Degraded) {
             ++stats_.rejected;
             out.state = state_;
+            last_outcome_ = out;
             if (outcome)
                 *outcome = out;
             return true;
@@ -248,6 +249,7 @@ Session::step(FrameOutcome *outcome)
             --backoff_remaining_;
             ++stats_.backoff_skips;
             out.state = state_;
+            last_outcome_ = out;
             if (outcome)
                 *outcome = out;
             return true;
@@ -304,6 +306,7 @@ Session::step(FrameOutcome *outcome)
         }
         out.rebuilds = rebuilds_;
         out.state = state_;
+        last_outcome_ = out;
     }
 
     if (outcome)
@@ -318,6 +321,16 @@ Session::drain()
     while (step())
         ++n;
     return n;
+}
+
+bool
+Session::lastOutcome(uint64_t frame_index, FrameOutcome *out) const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!last_outcome_ || last_outcome_->request != frame_index)
+        return false;
+    *out = *last_outcome_;
+    return true;
 }
 
 void
@@ -359,6 +372,8 @@ Session::exportDurable(SessionDurable &out) const
         out.queue.reserve(queue_.size());
         for (const Request &r : queue_)
             out.queue.push_back({r.frame_index, r.submit_seq});
+        out.has_last_outcome = last_outcome_.has_value();
+        out.last_outcome = last_outcome_.value_or(FrameOutcome{});
     }
     // Driver-thread state: safe under the quiescence contract (no
     // concurrent step()), which is how the checkpoint paths call this.
@@ -389,6 +404,9 @@ Session::restoreDurable(SessionDurable d)
         queue_.clear();
         for (const SessionDurable::QueuedRequest &q : d.queue)
             queue_.push_back(Request{q.frame_index, q.submit_seq});
+        last_outcome_.reset();
+        if (d.has_last_outcome)
+            last_outcome_ = d.last_outcome;
     }
     budget_.restoreState(d.budget);
     sorter_stale_ = d.sorter_stale != 0;

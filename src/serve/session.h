@@ -166,6 +166,12 @@ struct SessionDurable
     std::vector<QueuedRequest> queue;
     BudgetController::State budget;
 
+    /** Outcome of the most recent step() (see Session::lastOutcome);
+        its stage timings are not carried, being wall-clock of a dead
+        process. */
+    uint8_t has_last_outcome = 0;
+    FrameOutcome last_outcome;
+
     /** False when the session faulted and its renderer was torn down
         (quarantine/degraded); tables/prev_ids are then empty. */
     uint8_t has_renderer = 1;
@@ -201,6 +207,18 @@ class Session
 
     /** step() until the queue is empty; returns requests processed. */
     size_t drain();
+
+    /**
+     * True when the most recent step() processed trajectory frame
+     * @p frame_index; copies that step's outcome into @p out. The wire
+     * path answers a resubmit of that frame from here instead of
+     * stepping it again: a client whose reply was lost (the server died
+     * after journaling the request, or the connection dropped) retries
+     * it, and the reuse sorter is stateful, so a second render would
+     * change this frame and the ones after it. Survives checkpoints
+     * and journal replay like the rest of the session state.
+     */
+    bool lastOutcome(uint64_t frame_index, FrameOutcome *out) const;
 
     /** Framebuffer of the most recent rendered frame. Only meaningful
         between steps (single-driver contract). */
@@ -257,11 +275,12 @@ class Session
     const QosTarget qos_;
     const ServerConfig cfg_;
 
-    mutable std::mutex mutex_; //!< guards queue_, stats_, state_
+    mutable std::mutex mutex_; //!< guards queue_ .. last_outcome_
     std::deque<Request> queue_;
     uint64_t submit_seq_ = 0;
     SessionStats stats_;
     SessionState state_ = SessionState::Healthy;
+    std::optional<FrameOutcome> last_outcome_;
 
     // Driver-thread-only state (single-driver contract).
     std::unique_ptr<NeoRenderer> renderer_;

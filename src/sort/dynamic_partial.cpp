@@ -13,13 +13,20 @@
 namespace neo
 {
 
-std::vector<std::pair<size_t, size_t>>
-dynamicPartialBoundaries(size_t len, uint64_t frame_index,
-                         const DynamicPartialConfig &cfg)
+namespace
 {
-    std::vector<std::pair<size_t, size_t>> out;
+
+/**
+ * Call f(start, end) for each chunk of dynamicPartialBoundaries(len,
+ * frame_index, cfg), in order, without materializing the list.
+ */
+template <typename F>
+void
+forEachPartialChunk(size_t len, uint64_t frame_index,
+                    const DynamicPartialConfig &cfg, F &&f)
+{
     if (len == 0 || cfg.chunk == 0)
-        return out;
+        return;
 
     // Odd frames (and non-interleaved mode) use the natural grid
     // [0,C), [C,2C), ...; even frames shift by C/2 so the first chunk is a
@@ -33,18 +40,31 @@ dynamicPartialBoundaries(size_t len, uint64_t frame_index,
                          : std::min(cfg.chunk, len);
     for (;;) {
         if (end > start)
-            out.emplace_back(start, end);
+            f(start, end);
         if (end >= len)
             break;
         start = end;
         end = std::min(start + cfg.chunk, len);
     }
+}
+
+} // namespace
+
+std::vector<std::pair<size_t, size_t>>
+dynamicPartialBoundaries(size_t len, uint64_t frame_index,
+                         const DynamicPartialConfig &cfg)
+{
+    std::vector<std::pair<size_t, size_t>> out;
+    forEachPartialChunk(len, frame_index, cfg, [&](size_t start, size_t end) {
+        out.emplace_back(start, end);
+    });
     return out;
 }
 
 void
 dynamicPartialSort(std::vector<TileEntry> &table, uint64_t frame_index,
-                   const DynamicPartialConfig &cfg, SortCoreStats *stats)
+                   const DynamicPartialConfig &cfg, SortCoreStats *stats,
+                   std::vector<TileEntry> *scratch)
 {
     if (cfg.passes < 1)
         panic("dynamicPartialSort: passes must be >= 1");
@@ -52,10 +72,12 @@ dynamicPartialSort(std::vector<TileEntry> &table, uint64_t frame_index,
         // Alternate the boundary phase across passes as well, otherwise
         // additional passes within a frame could not move entries across
         // the same fixed boundaries.
-        auto ranges = dynamicPartialBoundaries(
-            table.size(), frame_index + static_cast<uint64_t>(pass), cfg);
-        for (auto [start, end] : ranges)
-            sortChunk(table, start, end - start, stats);
+        forEachPartialChunk(table.size(),
+                            frame_index + static_cast<uint64_t>(pass), cfg,
+                            [&](size_t start, size_t end) {
+                                sortChunk(table, start, end - start, stats,
+                                          scratch);
+                            });
     }
 }
 

@@ -54,10 +54,13 @@ dynamicPartialBoundaries(size_t len, uint64_t frame_index,
  * @param frame_index current frame number (selects boundary phase)
  * @param cfg tunables
  * @param stats optional hardware counters (chunk loads/stores, BSU/MSU ops)
+ * @param scratch optional MSU merge staging buffer (see sortChunk); a warm
+ *        one makes the call allocation-free
  */
 void dynamicPartialSort(std::vector<TileEntry> &table, uint64_t frame_index,
                         const DynamicPartialConfig &cfg = {},
-                        SortCoreStats *stats = nullptr);
+                        SortCoreStats *stats = nullptr,
+                        std::vector<TileEntry> *scratch = nullptr);
 
 /**
  * Sortedness metric: fraction of adjacent pairs in depth order. 1.0 for a

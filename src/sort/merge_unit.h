@@ -84,11 +84,15 @@ void msuMerge(const std::vector<TileEntry> &a, const std::vector<TileEntry> &b,
  * independent pairwise merges of each pass execute on the worker pool
  * (they write disjoint ranges; the tree shape is fixed by (count, run)
  * alone, so results and counters never depend on the thread count).
+ * The serial passes stage each pairwise merge in @p scratch when given
+ * (capacity reused across calls, so a warm caller merges without
+ * allocating) and in a local buffer otherwise.
  *
  * @return number of merge passes executed (for cycle accounting).
  */
 int msuMergeRuns(std::vector<TileEntry> &entries, size_t first, size_t count,
-                 size_t run, MsuStats *stats = nullptr, int threads = 1);
+                 size_t run, MsuStats *stats = nullptr, int threads = 1,
+                 std::vector<TileEntry> *scratch = nullptr);
 
 /**
  * The full MSU+ reuse-and-update step for one tile: stream the (sorted,

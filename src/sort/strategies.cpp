@@ -23,10 +23,10 @@ copyTiles(const BinnedFrame &frame,
 /**
  * Apply @p sort_one to every table through the fused batched dispatch:
  * tiles pack into ~kSortBatchGrain-entry weighted batches and the pool
- * executes batches, not tiles, so frames made of thousands of tiny tiles
- * pay one dispatch per ~256 entries instead of one per tile. Hardware
- * counters accumulate per pool chunk and merge into @p stats in fixed
- * chunk order; because per-tile counters are integer sums, the totals are
+ * executes batches heaviest first, so frames made of thousands of tiny
+ * tiles pay one dispatch per ~256 entries instead of one per tile.
+ * Hardware counters accumulate per participant and merge into @p stats;
+ * because per-tile counters are integer sums, the totals are
  * bit-identical to the unbatched per-tile loop at any thread count. The
  * thread count is also forwarded to the per-table sort so that frames
  * whose tile count cannot feed every worker (the single-tile case in
@@ -38,7 +38,7 @@ void
 sortTablesParallel(std::vector<std::vector<TileEntry>> &tables, int threads,
                    SortCoreStats &stats, SortFn sort_one)
 {
-    std::vector<ParallelRange> batches;
+    BatchPlan batches;
     buildWeightedBatchesInto(batches, tables.size(), kSortBatchGrain,
                              [&](size_t t) { return tables[t].size(); });
     std::vector<SortCoreStats> acc(

@@ -7,6 +7,7 @@
  * this test instead of silently perturbing the paper's figures.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "core/delta_tracker.h"
+#include "common/rng.h"
 #include "core/neo_renderer.h"
 #include "gs/pipeline.h"
 #include "scene/synthetic.h"
@@ -316,6 +318,103 @@ TEST(Determinism, NeoRendererThreadInvariantAcrossFrames)
                   parallel.last_workload.outgoing_instances);
         EXPECT_EQ(serial.last_workload.mean_tile_retention,
                   parallel.last_workload.mean_tile_retention);
+    }
+}
+
+TEST(Determinism, SkewedFrameThreadInvariantUnderHeaviestFirstScheduling)
+{
+    // Heaviest-first scheduling hands tiles to whichever participant is
+    // free, so the tile -> thread mapping changes run to run. On a frame
+    // whose centre tile holds most of the entries that mapping is as
+    // uneven as it gets; frame hashes and every counter must still be
+    // independent of the thread count.
+    Rng rng(2026);
+    GaussianScene scene;
+    scene.name = "skewed-centre";
+    for (int i = 0; i < 3000; ++i) // dense cluster inside one tile
+        scene.gaussians.push_back(makeGaussian(
+            {0.39f + rng.uniform(-0.1f, 0.1f),
+             0.39f + rng.uniform(-0.1f, 0.1f), rng.uniform(-0.3f, 0.3f)},
+            rng.uniform(0.005f, 0.02f), rng.uniform(0.3f, 0.9f),
+            {rng.uniform(0.1f, 1.0f), rng.uniform(0.1f, 1.0f),
+             rng.uniform(0.1f, 1.0f)}));
+    for (int i = 0; i < 600; ++i) // sparse background
+        scene.gaussians.push_back(makeGaussian(
+            {rng.uniform(-2.5f, 2.5f), rng.uniform(-1.8f, 1.8f),
+             rng.uniform(-1.0f, 1.0f)},
+            rng.uniform(0.03f, 0.12f), rng.uniform(0.3f, 0.9f),
+            {rng.uniform(0.1f, 1.0f), rng.uniform(0.1f, 1.0f),
+             rng.uniform(0.1f, 1.0f)}));
+    recomputeBounds(scene);
+    const Resolution res{512, 384, "skewed"};
+    auto cameraAt = [&](uint64_t f) {
+        Camera cam(res, deg2rad(50.0f));
+        const float s = static_cast<float>(f);
+        cam.lookAt({0.04f * s, -0.03f * s, -5.0f}, {0.0f, 0.0f, 0.0f});
+        return cam;
+    };
+
+    struct SkewedRun
+    {
+        std::vector<uint64_t> hashes;
+        std::vector<RasterStats> raster;
+        std::vector<SortCoreStats> sort;
+        std::vector<ReuseUpdateReport> reuse;
+    };
+    constexpr uint64_t kFrames = 9; // a cold start, then 8 reuse frames
+    auto run = [&](int threads) {
+        PipelineOptions opts = NeoRenderer::neoDefaultOptions();
+        opts.threads = threads;
+        NeoRenderer renderer(opts);
+        SkewedRun out;
+        Image image;
+        for (uint64_t f = 0; f < kFrames; ++f) {
+            NeoFrameReport report;
+            renderer.renderFrameInto(image, scene, cameraAt(f), f, &report);
+            out.hashes.push_back(hashImage(image));
+            out.raster.push_back(report.frame.raster);
+            out.sort.push_back(report.sort);
+            out.reuse.push_back(report.reuse);
+            if (f == 0) {
+                // The premise: one tile carries most of the frame.
+                size_t heaviest = 0;
+                for (const auto &tile : renderer.lastBinnedFrame().tiles)
+                    heaviest = std::max(heaviest, tile.size());
+                EXPECT_GT(2 * heaviest, report.frame.instances)
+                    << "the centre tile must hold most of the entries";
+            }
+        }
+        return out;
+    };
+
+    const SkewedRun serial = run(1);
+    for (uint64_t f = 1; f < kFrames; ++f) {
+        EXPECT_FALSE(serial.reuse[f].cold_start);
+        EXPECT_GT(serial.reuse[f].incoming, 0u) << "frame " << f;
+    }
+    for (int threads : {2, 3, 4, 8}) {
+        const SkewedRun parallel = run(threads);
+        EXPECT_EQ(serial.hashes, parallel.hashes) << "threads=" << threads;
+        for (uint64_t f = 0; f < kFrames; ++f) {
+            SCOPED_TRACE(testing::Message()
+                         << "threads=" << threads << " frame=" << f);
+            const RasterStats &a = serial.raster[f];
+            const RasterStats &b = parallel.raster[f];
+            EXPECT_EQ(a.gaussians_in, b.gaussians_in);
+            EXPECT_EQ(a.intersection_tests, b.intersection_tests);
+            EXPECT_EQ(a.gaussians_blended, b.gaussians_blended);
+            EXPECT_EQ(a.blend_ops, b.blend_ops);
+            EXPECT_EQ(a.pixels_terminated, b.pixels_terminated);
+            expectEqualSortStats(serial.sort[f], parallel.sort[f]);
+            const ReuseUpdateReport &x = serial.reuse[f];
+            const ReuseUpdateReport &y = parallel.reuse[f];
+            EXPECT_EQ(x.table_entries, y.table_entries);
+            EXPECT_EQ(x.incoming, y.incoming);
+            EXPECT_EQ(x.outgoing_marked, y.outgoing_marked);
+            EXPECT_EQ(x.deleted, y.deleted);
+            EXPECT_EQ(x.mean_retention, y.mean_retention);
+            EXPECT_EQ(x.cold_start, y.cold_start);
+        }
     }
 }
 

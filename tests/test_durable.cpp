@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <dirent.h>
@@ -31,6 +32,8 @@
 #include "serve/durable/durable.h"
 #include "serve/durable/journal.h"
 #include "serve/durable/snapshot.h"
+#include "serve/net/client.h"
+#include "serve/net/frontend.h"
 #include "serve/server.h"
 #include "test_util.h"
 
@@ -151,6 +154,16 @@ sampleSnapshot()
     a.budget.warm = true;
     a.budget.severity = 1;
     a.budget.degradations = 3;
+    a.has_last_outcome = 1;
+    a.last_outcome.request = 6;
+    a.last_outcome.rendered = true;
+    a.last_outcome.frame_hash = 0x8c384c882f0d0b1cull;
+    a.last_outcome.resolution_drop = 1;
+    a.last_outcome.deadline_missed = true;
+    a.last_outcome.faults = 2;
+    a.last_outcome.watchdog_stage = 1;
+    a.last_outcome.state = SessionState::Quarantined;
+    a.last_outcome.rebuilds = 2;
     a.has_renderer = 1;
     a.tables = {{{3, 1.5f, true}, {9, 2.5f, false}}, {}, {{1, 0.25f, true}}};
     a.prev_ids = {{3, 9}, {}, {1}};
@@ -204,6 +217,17 @@ TEST(SnapshotCodecTest, RoundTripsEveryField)
     EXPECT_DOUBLE_EQ(a.budget.ema_ms, 9.5);
     EXPECT_TRUE(a.budget.warm);
     EXPECT_EQ(a.budget.severity, 1);
+    EXPECT_EQ(a.has_last_outcome, 1u);
+    EXPECT_EQ(a.last_outcome.request, 6u);
+    EXPECT_TRUE(a.last_outcome.rendered);
+    EXPECT_EQ(a.last_outcome.frame_hash, 0x8c384c882f0d0b1cull);
+    EXPECT_EQ(a.last_outcome.resolution_drop, 1);
+    EXPECT_FALSE(a.last_outcome.direct_path);
+    EXPECT_TRUE(a.last_outcome.deadline_missed);
+    EXPECT_EQ(a.last_outcome.faults, 2u);
+    EXPECT_EQ(a.last_outcome.watchdog_stage, 1);
+    EXPECT_EQ(a.last_outcome.state, SessionState::Quarantined);
+    EXPECT_EQ(a.last_outcome.rebuilds, 2u);
     ASSERT_EQ(a.tables.size(), 3u);
     ASSERT_EQ(a.tables[0].size(), 2u);
     EXPECT_EQ(a.tables[0][1].id, 9u);
@@ -219,6 +243,7 @@ TEST(SnapshotCodecTest, RoundTripsEveryField)
     EXPECT_EQ(b.backoff_remaining, 4);
     EXPECT_EQ(b.has_renderer, 0u);
     EXPECT_TRUE(b.tables.empty());
+    EXPECT_EQ(b.has_last_outcome, 0u);
 }
 
 TEST(SnapshotCodecTest, EmptySnapshotRoundTrips)
@@ -745,6 +770,79 @@ TEST(DurableRecoveryTest, ClosedSessionsStayClosedThroughReplay)
     EXPECT_EQ(b.liveSessions(), 0u)
         << "the journaled close must replay too";
     EXPECT_EQ(b.session(id), nullptr);
+}
+
+TEST(DurableRecoveryTest, JournaledButUnrepliedFrameRendersOnce)
+{
+    // The crash lands after frame 4's submit was journaled and before
+    // its reply left the process: before its render, after it, or after
+    // a checkpoint cut between the render and the reply. Each time the
+    // recovered server holds frame 4 rendered once, and the client,
+    // which never saw that reply, resubmits it over the wire.
+    enum class Kill
+    {
+        Journaled,
+        Rendered,
+        Checkpointed,
+    };
+    const std::vector<uint64_t> solo = soloHashes(8, baseConfig().pipeline);
+    for (const Kill kill : {Kill::Journaled, Kill::Rendered,
+                            Kill::Checkpointed}) {
+        SCOPED_TRACE("kill point " + std::to_string(static_cast<int>(kill)));
+        ScratchDir dir;
+        std::vector<uint64_t> served;
+        uint32_t id = 0;
+        {
+            NeoServer a(sharedScene(), baseConfig());
+            ASSERT_TRUE(a.enableDurability(testDurableConfig(dir.path())));
+            const AdmitResult admit = a.open(orbitAt(), smallRes());
+            ASSERT_TRUE(admit.admitted);
+            id = admit.session_id;
+            driveFrames(a, id, 0, 4, &served);
+            Session *s = a.session(id);
+            ASSERT_TRUE(s->submit(4).accepted);
+            if (kill != Kill::Journaled) {
+                ASSERT_TRUE(s->step());
+            }
+            if (kill == Kill::Checkpointed) {
+                ASSERT_TRUE(a.checkpointNow());
+            }
+        }
+
+        NeoServer b(sharedScene(), baseConfig());
+        ASSERT_TRUE(b.enableDurability(testDurableConfig(dir.path())));
+        Session *s = b.session(id);
+        ASSERT_NE(s, nullptr);
+        ASSERT_EQ(s->stats().rendered, 5u);
+
+        net::NetFrontend frontend(b, net::NetConfig{});
+        ASSERT_TRUE(frontend.start());
+        std::thread loop([&frontend] { frontend.run(); });
+        net::NetClient client;
+        net::OpenOkReply ok;
+        const bool resumed =
+            client.connect(frontend.port()) && client.resumeSession(id, &ok);
+        for (uint64_t f = 4; resumed && f < solo.size(); ++f) {
+            net::SubmitFrameReq req;
+            req.session_id = id;
+            req.frame_index = f;
+            net::SubmitReply reply;
+            if (!client.submitFrame(req, &reply))
+                break;
+            EXPECT_TRUE(reply.rendered);
+            EXPECT_EQ(reply.request, f);
+            served.push_back(reply.frame_hash);
+        }
+        frontend.requestStop();
+        loop.join();
+        ASSERT_TRUE(resumed);
+
+        EXPECT_EQ(s->stats().rendered, 8u)
+            << "the resubmitted frame 4 must not render again";
+        ASSERT_EQ(served.size(), solo.size());
+        for (size_t f = 0; f < solo.size(); ++f)
+            EXPECT_EQ(served[f], solo[f]) << "frame " << f;
+    }
 }
 
 // --- Env knobs ---------------------------------------------------------

@@ -267,25 +267,30 @@ TEST(DurableE2eTest, Kill9MidStreamThenResumeBitIdentical)
     // with no reply — the crash lands at an arbitrary point of the
     // submit/journal/render/reply window. The client asks for far more
     // frames than the reference so it cannot finish (and close its
-    // session) before the kill, however the pipe buffers race.
+    // session) before the kill, however the pipe buffers race. The
+    // client may have printed a few more frames by the time the kill
+    // lands; reading on to EOF collects every reply it received.
     Proc client_a;
     ASSERT_TRUE(client_a.spawn({clientBin(), "--port",
                                 std::to_string(port), "--frames",
                                 "100000"}));
     std::map<int, uint64_t> served;
     std::string line;
+    bool killed = false;
     while (client_a.nextLine(&line)) {
         int f = 0;
         unsigned long long hash = 0;
         if (std::sscanf(line.c_str(), "frame %d %llx", &f, &hash) != 2)
             continue;
         served[f] = hash;
-        if (static_cast<int>(served.size()) == kKillAfter) {
+        if (!killed && static_cast<int>(served.size()) == kKillAfter) {
             server_a.kill9();
-            break;
+            killed = true;
         }
     }
-    ASSERT_GE(static_cast<int>(served.size()), kKillAfter);
+    ASSERT_TRUE(killed);
+    ASSERT_LT(static_cast<int>(served.size()), kFrames)
+        << "the client outran the solo reference before the kill";
     client_a.join(); // dies on the vanished server; exit status is moot
     const int status_a = server_a.join();
     ASSERT_TRUE(WIFSIGNALED(status_a) && WTERMSIG(status_a) == SIGKILL);
@@ -302,10 +307,12 @@ TEST(DurableE2eTest, Kill9MidStreamThenResumeBitIdentical)
         << "restart recovered nothing";
     EXPECT_EQ(rec.skipped, 0u) << "no generation should be corrupt here";
 
-    // Resume where the stream stopped. The server may have accepted one
-    // more frame than the client saw a reply for (the in-flight request
-    // at kill time) — resubmitting that frame is idempotent, so
-    // restarting from the last *confirmed* frame is always correct.
+    // Resume where the stream stopped. The server may have journaled,
+    // and even rendered, one more frame than the client saw a reply for
+    // (the in-flight request at kill time). The server answers a
+    // resubmit of that frame from its last outcome instead of rendering
+    // it twice, so restarting from the last *confirmed* frame is always
+    // correct.
     const int resume_at = static_cast<int>(served.size());
     Proc client_b;
     ASSERT_TRUE(client_b.spawn(

@@ -628,11 +628,11 @@ TEST(IntegrityInjectionMatrix, SortTablesFlipInsideFusedBatchDetected)
                                   traj.cameraAt(f, smallRes()),
                                   static_cast<uint64_t>(f));
         const auto &tiles = probe.lastBinnedFrame().tiles;
-        std::vector<ParallelRange> batches;
+        BatchPlan batches;
         buildWeightedBatchesInto(
             batches, tiles.size(), kSortBatchGrain,
             [&](size_t t) { return tiles[t].size(); });
-        for (const ParallelRange &b : batches) {
+        for (const WeightedBatch &b : batches.batches) {
             if (b.size() < 2)
                 continue;
             for (size_t t = b.begin; t < b.end; ++t)

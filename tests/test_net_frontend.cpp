@@ -246,6 +246,37 @@ TEST(NetFrontendTest, ServedHashesOverTheWireMatchSoloRenderer)
     }
 }
 
+TEST(NetFrontendTest, RetriedSubmitIsAnsweredWithoutRenderingAgain)
+{
+    // A client that lost a reply retries the request. The reuse sorter
+    // is stateful, so rendering frame 2 twice would change the frames
+    // after it; the retry is answered from the session's last outcome.
+    const std::vector<uint64_t> solo = soloHashes(1.0f, 4);
+    Harness h;
+    ASSERT_TRUE(h.started());
+    NetClient client;
+    ASSERT_TRUE(client.connect(h.port()));
+    const uint32_t sid = openOrDie(client);
+
+    for (const uint64_t f : {0, 1, 2, 2, 3}) {
+        SubmitFrameReq req;
+        req.session_id = sid;
+        req.frame_index = f;
+        SubmitReply reply;
+        ASSERT_TRUE(client.submitFrame(req, &reply, recvTimeout()))
+            << "frame " << f;
+        EXPECT_TRUE(reply.accepted);
+        ASSERT_TRUE(reply.rendered);
+        EXPECT_EQ(reply.request, f);
+        EXPECT_EQ(reply.frame_hash, solo[f]) << "frame " << f;
+    }
+
+    StatsReply stats;
+    ASSERT_TRUE(client.stats(sid, &stats, recvTimeout()));
+    EXPECT_EQ(stats.stats.submitted, 4u);
+    EXPECT_EQ(stats.stats.rendered, 4u) << "frame 2 rendered once";
+}
+
 // --- Accept-path defense -----------------------------------------------
 
 TEST(NetFrontendTest, RejectsAtAcceptBeyondMaxConnections)

@@ -2,17 +2,20 @@
  * @file
  * Unit tests for the deterministic parallel execution layer: static chunk
  * boundaries, parallelFor edge cases (0 items, fewer items than threads),
- * thread-count resolution, and pool behaviour under oversubscription.
+ * weighted batching and heaviest-first scheduling, thread-count
+ * resolution, and pool behaviour under oversubscription.
  */
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -425,31 +428,40 @@ TEST(ThreadAffinity, SingleCpuAlwaysZero)
 
 // --- fused weighted batching (buildWeightedBatchesInto) ---
 
-std::vector<ParallelRange>
+BatchPlan
 batchesFor(const std::vector<size_t> &weights, size_t grain)
 {
-    std::vector<ParallelRange> out;
+    BatchPlan out;
     buildWeightedBatchesInto(out, weights.size(), grain,
                              [&](size_t i) { return weights[i]; });
     return out;
 }
 
-/** Every batching must partition [0, n) into contiguous non-empty runs. */
+/** Every batching must partition [0, n) into contiguous non-empty runs
+    whose weights sum their items'. */
 void
-expectPartition(const std::vector<ParallelRange> &batches, size_t n)
+expectPartition(const BatchPlan &plan, size_t n,
+                const std::vector<size_t> *weights = nullptr)
 {
     size_t cursor = 0;
-    for (const ParallelRange &b : batches) {
+    for (const WeightedBatch &b : plan.batches) {
         EXPECT_EQ(b.begin, cursor);
         EXPECT_GT(b.end, b.begin);
+        if (weights) {
+            EXPECT_EQ(b.weight,
+                      std::accumulate(weights->begin() + b.begin,
+                                      weights->begin() + b.end,
+                                      size_t{0}));
+        }
         cursor = b.end;
     }
     EXPECT_EQ(cursor, n);
+    EXPECT_EQ(plan.claim_order.size(), plan.size());
 }
 
 TEST(WeightedBatches, EmptyInputYieldsNoBatches)
 {
-    EXPECT_TRUE(batchesFor({}, 256).empty());
+    EXPECT_EQ(batchesFor({}, 256).size(), 0u);
 }
 
 TEST(WeightedBatches, TinyItemsFuseUpToGrain)
@@ -458,8 +470,10 @@ TEST(WeightedBatches, TinyItemsFuseUpToGrain)
     auto batches = batchesFor(std::vector<size_t>(100, 1), 10);
     expectPartition(batches, 100);
     ASSERT_EQ(batches.size(), 10u);
-    for (const ParallelRange &b : batches)
+    for (const WeightedBatch &b : batches.batches) {
         EXPECT_EQ(b.size(), 10u);
+        EXPECT_EQ(b.weight, 10u);
+    }
 }
 
 TEST(WeightedBatches, HeavyItemIsItsOwnBatch)
@@ -468,8 +482,9 @@ TEST(WeightedBatches, HeavyItemIsItsOwnBatch)
     auto batches = batchesFor({1, 1, 500, 1, 1}, 10);
     expectPartition(batches, 5);
     ASSERT_EQ(batches.size(), 3u);
-    EXPECT_EQ(batches[1].begin, 2u);
-    EXPECT_EQ(batches[1].end, 3u);
+    EXPECT_EQ(batches.batches[1].begin, 2u);
+    EXPECT_EQ(batches.batches[1].end, 3u);
+    EXPECT_EQ(batches.claim_order.front(), 1u);
 }
 
 TEST(WeightedBatches, ZeroWeightItemsJoinTheCurrentBatch)
@@ -488,7 +503,7 @@ TEST(WeightedBatches, PartitionHoldsForMixedWeights)
     for (size_t grain : {size_t{1}, size_t{64}, size_t{256},
                          size_t{1u << 20}}) {
         auto batches = batchesFor(weights, grain);
-        expectPartition(batches, weights.size());
+        expectPartition(batches, weights.size(), &weights);
     }
 }
 
@@ -496,13 +511,12 @@ TEST(WeightedBatches, BatchBoundariesIgnoreThreadCount)
 {
     // Determinism hinges on batches being a pure function of
     // (n, grain, weights); parallelForBatched must visit every item of
-    // every batch exactly once at any thread count, with the serial
-    // chunk order reproduced by the per-chunk merge.
+    // every batch exactly once at any thread count.
     std::vector<size_t> weights;
     for (size_t i = 0; i < 300; ++i)
         weights.push_back(1 + i % 9);
     auto batches = batchesFor(weights, 64);
-    expectPartition(batches, weights.size());
+    expectPartition(batches, weights.size(), &weights);
 
     for (int threads : {1, 2, 8}) {
         std::vector<int> visits(weights.size(), 0);
@@ -518,6 +532,170 @@ TEST(WeightedBatches, BatchBoundariesIgnoreThreadCount)
             EXPECT_EQ(visits[i], 1) << "threads " << threads << " item "
                                     << i;
     }
+}
+
+// --- heaviest-first scheduling (parallelForBatched) ---
+
+/** A skewed frame: a few heavy "centre" items among many light ones. */
+std::vector<size_t>
+skewedWeights()
+{
+    std::vector<size_t> w(60);
+    for (size_t i = 0; i < w.size(); ++i)
+        w[i] = 5 + (i * 37) % 50;
+    w[27] = 4000;
+    w[28] = 3500;
+    w[33] = 4000;
+    w[34] = 1200;
+    return w;
+}
+
+TEST(HeaviestFirstScheduling, ClaimOrderIsAPureFunctionOfTheWeights)
+{
+    // Grain 1: every item is its own batch, so the order is directly
+    // checkable — heaviest first, ties by the lower index.
+    const BatchPlan plan = batchesFor({5, 9, 5, 1, 9, 7}, 1);
+    EXPECT_EQ(plan.claim_order, (std::vector<size_t>{1, 4, 5, 0, 2, 3}));
+
+    // Fused batches: the order equals a stable sort of the batch indices
+    // by descending weight, and rebuilding from the same weights into a
+    // used plan reproduces it.
+    const std::vector<size_t> weights = skewedWeights();
+    BatchPlan a = batchesFor(weights, 64);
+    std::vector<size_t> expect(a.size());
+    std::iota(expect.begin(), expect.end(), size_t{0});
+    std::stable_sort(expect.begin(), expect.end(),
+                     [&](size_t x, size_t y) {
+                         return a.batches[x].weight > a.batches[y].weight;
+                     });
+    EXPECT_EQ(a.claim_order, expect);
+    BatchPlan b = batchesFor({1, 2, 3}, 1);
+    buildWeightedBatchesInto(b, weights.size(), 64,
+                             [&](size_t i) { return weights[i]; });
+    EXPECT_EQ(b.claim_order, a.claim_order);
+}
+
+TEST(HeaviestFirstScheduling, EveryBatchRunsExactlyOnce)
+{
+    const std::vector<size_t> weights = skewedWeights();
+    const BatchPlan plan = batchesFor(weights, 64);
+    for (int threads : {1, 2, 3, 4, 8}) {
+        std::vector<std::atomic<int>> runs(plan.size());
+        std::vector<std::atomic<int>> visits(weights.size());
+        parallelForBatched(plan, threads,
+                           [&](size_t begin, size_t end, size_t) {
+                               for (size_t b = 0; b < plan.size(); ++b)
+                                   if (plan.batches[b].begin == begin) {
+                                       EXPECT_EQ(plan.batches[b].end, end);
+                                       runs[b].fetch_add(1);
+                                   }
+                               for (size_t i = begin; i < end; ++i)
+                                   visits[i].fetch_add(1);
+                           });
+        for (size_t b = 0; b < runs.size(); ++b)
+            EXPECT_EQ(runs[b].load(), 1)
+                << "threads " << threads << " batch " << b;
+        for (size_t i = 0; i < visits.size(); ++i)
+            EXPECT_EQ(visits[i].load(), 1)
+                << "threads " << threads << " item " << i;
+    }
+}
+
+TEST(HeaviestFirstScheduling, AtMostThreadsChunkIndicesEvenOnAGrownPool)
+{
+    // A threads=8 job grows the shared pool to 7 workers; later jobs at
+    // fewer threads must still run under at most `threads` chunk
+    // indices, each below parallelChunkCount — the per-chunk scratch
+    // sizing contract.
+    const BatchPlan plan = batchesFor(std::vector<size_t>(64, 10), 1);
+    for (int threads : {8, 2, 3, 4, 8, 1}) {
+        const size_t participants =
+            parallelChunkCount(plan.size(), threads);
+        std::vector<std::atomic<int>> used(plan.size());
+        parallelForBatched(plan, threads,
+                           [&](size_t begin, size_t, size_t chunk) {
+                               ASSERT_LT(chunk, participants);
+                               used[chunk].fetch_add(1);
+                               // Give every participant a chance to join.
+                               std::this_thread::sleep_for(
+                                   std::chrono::microseconds(20 + begin));
+                           });
+        size_t distinct = 0;
+        for (const std::atomic<int> &u : used)
+            distinct += u.load() > 0 ? 1 : 0;
+        EXPECT_GE(distinct, 1u);
+        EXPECT_LE(distinct, static_cast<size_t>(threads))
+            << "threads " << threads;
+        if (threads == 8) {
+            EXPECT_GE(ThreadPool::shared().workerCount(), 7);
+        }
+    }
+}
+
+TEST(HeaviestFirstScheduling, NestedCallRunsInline)
+{
+    const BatchPlan outer = batchesFor(skewedWeights(), 64);
+    const BatchPlan inner = batchesFor(std::vector<size_t>(16, 3), 4);
+    const size_t n_outer = skewedWeights().size();
+    std::vector<std::atomic<int>> visits(n_outer * 16);
+    parallelForBatched(outer, 4, [&](size_t begin, size_t end, size_t) {
+        for (size_t o = begin; o < end; ++o)
+            parallelForBatched(inner, 4,
+                               [&](size_t b, size_t e, size_t chunk) {
+                                   EXPECT_EQ(chunk, 0u);
+                                   EXPECT_TRUE(
+                                       ThreadPool::insideParallelRegion());
+                                   for (size_t i = b; i < e; ++i)
+                                       visits[o * 16 + i].fetch_add(1);
+                               });
+    });
+    for (size_t i = 0; i < visits.size(); ++i)
+        EXPECT_EQ(visits[i].load(), 1) << "index " << i;
+}
+
+TEST(HeaviestFirstScheduling, ExceptionIsRethrownAfterTheJoin)
+{
+    const std::vector<size_t> weights = skewedWeights();
+    const BatchPlan plan = batchesFor(weights, 1);
+    const size_t bad = 33;
+    std::vector<std::atomic<int>> visits(weights.size());
+    EXPECT_THROW(parallelForBatched(plan, 4,
+                                    [&](size_t begin, size_t end, size_t) {
+                                        for (size_t i = begin; i < end; ++i)
+                                            if (i == bad)
+                                                throw std::runtime_error(
+                                                    "boom");
+                                        for (size_t i = begin; i < end; ++i)
+                                            visits[i].fetch_add(1);
+                                    }),
+                 std::runtime_error);
+    // Only the throwing batch is lost: the other participants keep
+    // claiming until the cursor runs out.
+    for (size_t i = 0; i < visits.size(); ++i)
+        EXPECT_EQ(visits[i].load(), i == bad ? 0 : 1) << "item " << i;
+
+    // The pool stays usable.
+    std::atomic<int> after{0};
+    parallelForBatched(plan, 4, [&](size_t begin, size_t end, size_t) {
+        after.fetch_add(static_cast<int>(end - begin));
+    });
+    EXPECT_EQ(after.load(), static_cast<int>(weights.size()));
+}
+
+TEST(HeaviestFirstScheduling, SingleThreadRunsInlineInIndexOrder)
+{
+    const BatchPlan plan = batchesFor(skewedWeights(), 64);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<size_t> begins;
+    parallelForBatched(plan, 1, [&](size_t begin, size_t, size_t chunk) {
+        EXPECT_EQ(chunk, 0u);
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        EXPECT_FALSE(ThreadPool::insideParallelRegion());
+        begins.push_back(begin);
+    });
+    ASSERT_EQ(begins.size(), plan.size());
+    for (size_t b = 0; b < plan.size(); ++b)
+        EXPECT_EQ(begins[b], plan.batches[b].begin);
 }
 
 TEST(ThreadAffinity, PinnedPoolStillComputesCorrectly)
