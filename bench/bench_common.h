@@ -9,9 +9,11 @@
 #define NEO_BENCH_BENCH_COMMON_H
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "common/env.h"
 #include "scene/datasets.h"
 #include "sim/perf_harness.h"
 #include "sim/workload_cache.h"
@@ -83,6 +85,40 @@ inline void
 endRow()
 {
     std::printf("\n");
+}
+
+/**
+ * Full-string integer in [1, @p hi] for command-line @p flag. Anything
+ * else ("5x", "", "0") prints the reason and @p usage and exits 2: a
+ * bench must not run on the numeric prefix of a mistyped value.
+ */
+inline long
+parsePositiveArg(const char *flag, const std::string &text, long hi,
+                 const char *usage)
+{
+    long v = 0;
+    if (!env::parseLong(text.c_str(), &v) || v < 1 || v > hi) {
+        std::fprintf(stderr, "%s: '%s' is not an integer in [1, %ld]\n%s",
+                     flag, text.c_str(), hi, usage);
+        std::exit(2);
+    }
+    return v;
+}
+
+/** Comma-separated list of parsePositiveArg values ("1,2,4"). */
+inline std::vector<int>
+parsePositiveList(const char *flag, const std::string &list, long hi,
+                  const char *usage)
+{
+    std::vector<int> out;
+    for (size_t begin = 0;;) {
+        const size_t comma = list.find(',', begin);
+        out.push_back(static_cast<int>(parsePositiveArg(
+            flag, list.substr(begin, comma - begin), hi, usage)));
+        if (comma == std::string::npos)
+            return out;
+        begin = comma + 1;
+    }
 }
 
 /** Geometric/arithmetic mean helper for the MEAN column. */

@@ -18,7 +18,8 @@
  *                   [--raster-mode blocked|reference|both] [--fast-exp]
  *                   [--integrity off|check|recover]
  *
- * Numeric values must be whole positive integers; anything else exits 2.
+ * Numeric values must be whole positive integers; anything else prints
+ * the usage line and exits 2.
  * --raster-mode selects the blend implementation (subtile-blocked
  * kernel, default, or the scalar reference); "both" runs the sweep twice
  * and prints an A/B column with the reference raster_ms next to the
@@ -40,7 +41,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "common/env.h"
 #include "common/parallel.h"
 #include "core/neo_renderer.h"
 #include "scene/synthetic.h"
@@ -67,44 +67,23 @@ struct Args
     std::vector<int> threads = {1, 2, 4, 8};
 };
 
-/** Full-string integer in [1, @p hi] for @p flag, or exit 2. */
-long
-parsePositive(const char *flag, const std::string &text, long hi)
-{
-    long v = 0;
-    if (!env::parseLong(text.c_str(), &v) || v < 1 || v > hi) {
-        std::fprintf(stderr, "%s: '%s' is not an integer in [1, %ld]\n",
-                     flag, text.c_str(), hi);
-        std::exit(2);
-    }
-    return v;
-}
-
-std::vector<int>
-parseThreadList(const char *s)
-{
-    std::vector<int> out;
-    const std::string list = s;
-    for (size_t begin = 0;;) {
-        const size_t comma = list.find(',', begin);
-        out.push_back(static_cast<int>(parsePositive(
-            "--threads-list", list.substr(begin, comma - begin),
-            kMaxThreads)));
-        if (comma == std::string::npos)
-            return out;
-        begin = comma + 1;
-    }
-}
+constexpr const char *kUsage =
+    "usage: bench_scaling [--json out.json] [--gaussians N] [--frames N] "
+    "[--threads-list 1,2,4,8] [--pr N] "
+    "[--raster-mode blocked|reference|both] [--fast-exp] "
+    "[--integrity off|check|recover]\n";
 
 Args
 parse(int argc, char **argv)
 {
+    using bench::parsePositiveArg;
     Args a;
     for (int i = 1; i < argc; ++i) {
         const char *flag = argv[i];
         auto value = [&] {
             if (i + 1 >= argc) {
-                std::fprintf(stderr, "flag '%s' needs a value\n", flag);
+                std::fprintf(stderr, "flag '%s' needs a value\n%s", flag,
+                             kUsage);
                 std::exit(2);
             }
             return argv[++i];
@@ -114,21 +93,23 @@ parse(int argc, char **argv)
         else if (std::strcmp(flag, "--json") == 0)
             a.json_path = value();
         else if (std::strcmp(flag, "--gaussians") == 0)
-            a.gaussians =
-                static_cast<size_t>(parsePositive(flag, value(), 1L << 30));
+            a.gaussians = static_cast<size_t>(
+                parsePositiveArg(flag, value(), 1L << 30, kUsage));
         else if (std::strcmp(flag, "--frames") == 0)
-            a.frames =
-                static_cast<int>(parsePositive(flag, value(), 1 << 20));
+            a.frames = static_cast<int>(
+                parsePositiveArg(flag, value(), 1 << 20, kUsage));
         else if (std::strcmp(flag, "--threads-list") == 0)
-            a.threads = parseThreadList(value());
+            a.threads =
+                bench::parsePositiveList(flag, value(), kMaxThreads, kUsage);
         else if (std::strcmp(flag, "--pr") == 0)
-            a.pr = static_cast<int>(parsePositive(flag, value(), 1 << 20));
+            a.pr = static_cast<int>(
+                parsePositiveArg(flag, value(), 1 << 20, kUsage));
         else if (std::strcmp(flag, "--raster-mode") == 0)
             a.raster_mode = value();
         else if (std::strcmp(flag, "--integrity") == 0)
             a.integrity = value();
         else {
-            std::fprintf(stderr, "unknown flag '%s'\n", flag);
+            std::fprintf(stderr, "unknown flag '%s'\n%s", flag, kUsage);
             std::exit(2);
         }
     }

@@ -20,6 +20,10 @@
  *                  [--sessions-list 1,2,4] [--threads-list 1,2,4,8]
  *                  [--pr N] [--net] [--checkpoint]
  *
+ * Numeric values (list entries included) must be whole positive
+ * integers in range; anything else, or an unknown flag, prints the
+ * usage line and exits 2.
+ *
  * --net additionally measures the socket front end: a NetFrontend on an
  * ephemeral loopback port over the same scene, driven by the blocking
  * NetClient one request per frame, at each thread count. Next to the
@@ -80,62 +84,55 @@ struct Args
     bool checkpoint = false;
 };
 
-std::vector<int>
-parseIntList(const char *s)
+constexpr const char *kUsage =
+    "usage: bench_server [--json out.json] [--gaussians N] [--frames N] "
+    "[--sessions-list 1,2,4] [--threads-list 1,2,4,8] [--pr N] [--net] "
+    "[--checkpoint]\n";
+
+[[noreturn]] void
+usageExit(const char *why, const char *flag)
 {
-    std::vector<int> out;
-    for (const char *p = s; *p;) {
-        int v = std::atoi(p);
-        if (v > 0)
-            out.push_back(v);
-        while (*p && *p != ',')
-            ++p;
-        if (*p == ',')
-            ++p;
-    }
-    return out;
+    std::fprintf(stderr, "bench_server: %s '%s'\n%s", why, flag, kUsage);
+    std::exit(2);
 }
 
 Args
 parse(int argc, char **argv)
 {
+    using bench::parsePositiveArg;
+    using bench::parsePositiveList;
     Args a;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--net") == 0) {
+        const char *flag = argv[i];
+        if (std::strcmp(flag, "--net") == 0) {
             a.net = true;
             continue;
         }
-        if (std::strcmp(argv[i], "--checkpoint") == 0) {
+        if (std::strcmp(flag, "--checkpoint") == 0) {
             a.checkpoint = true;
             continue;
         }
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "flag '%s' needs a value\n", argv[i]);
-            std::exit(2);
-        }
-        if (std::strcmp(argv[i], "--json") == 0)
-            a.json_path = argv[++i];
-        else if (std::strcmp(argv[i], "--gaussians") == 0)
-            a.gaussians = static_cast<size_t>(std::atol(argv[++i]));
-        else if (std::strcmp(argv[i], "--frames") == 0)
-            a.frames = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--sessions-list") == 0)
-            a.sessions = parseIntList(argv[++i]);
-        else if (std::strcmp(argv[i], "--threads-list") == 0)
-            a.threads = parseIntList(argv[++i]);
-        else if (std::strcmp(argv[i], "--pr") == 0)
-            a.pr = std::atoi(argv[++i]);
-        else {
-            std::fprintf(stderr, "unknown flag '%s'\n", argv[i]);
-            std::exit(2);
-        }
+        if (i + 1 >= argc)
+            usageExit("missing value for", flag);
+        const char *value = argv[++i];
+        if (std::strcmp(flag, "--json") == 0)
+            a.json_path = value;
+        else if (std::strcmp(flag, "--gaussians") == 0)
+            a.gaussians = static_cast<size_t>(
+                parsePositiveArg(flag, value, 1L << 30, kUsage));
+        else if (std::strcmp(flag, "--frames") == 0)
+            a.frames = static_cast<int>(
+                parsePositiveArg(flag, value, 1 << 20, kUsage));
+        else if (std::strcmp(flag, "--sessions-list") == 0)
+            a.sessions = parsePositiveList(flag, value, kMaxThreads, kUsage);
+        else if (std::strcmp(flag, "--threads-list") == 0)
+            a.threads = parsePositiveList(flag, value, kMaxThreads, kUsage);
+        else if (std::strcmp(flag, "--pr") == 0)
+            a.pr = static_cast<int>(
+                parsePositiveArg(flag, value, 1 << 20, kUsage));
+        else
+            usageExit("unknown flag", flag);
     }
-    if (a.sessions.empty())
-        a.sessions = {1};
-    if (a.threads.empty())
-        a.threads = {1};
-    if (a.frames < 1)
-        a.frames = 1;
     return a;
 }
 

@@ -6,7 +6,8 @@
 # the number least affected by core count — and fails when the current
 # point is more than MAX_REGRESSION_PCT slower than the baseline. When
 # both files carry a per-stage breakdown, the threads=1 raster_ms,
-# tracker_ms, bin_ms and sort_ms are each gated with the same threshold.
+# tracker_ms, bin_ms, sort_ms and hash_ms (the per-frame
+# Image::contentHash) are each gated with the same threshold.
 # The per-stage gates carry an absolute slack ($STAGE_ABS_SLACK_MS,
 # default 1.0 ms) on top of the percentage: the small stages run in
 # single-digit milliseconds, where scheduler jitter alone exceeds 10%,
@@ -166,10 +167,11 @@ if [[ "$server_mode" == "1" ]]; then
 fi
 
 # Per-stage gates: the raster and tracker stages carry dedicated SIMD
-# kernels, and the bin and sort stages own the fused cross-tile batching
-# and key-sort path — a regression in any one must not hide behind
+# kernels, the bin and sort stages own the fused cross-tile batching
+# and key-sort path, and the frame digest is serial work on every
+# served frame — a regression in any one must not hide behind
 # improvements elsewhere.
-for stage in raster_ms tracker_ms bin_ms sort_ms; do
+for stage in raster_ms tracker_ms bin_ms sort_ms hash_ms; do
     base_stage="$(extract_t1 "$stage" "$BASELINE")"
     cur_stage="$(extract_t1 "$stage" "$CURRENT")"
     if [[ -n "$base_stage" && -n "$cur_stage" ]]; then

@@ -13,6 +13,10 @@
  * "recovered sessions=N snapshot=S replayed=R skipped=K" for the
  * crash-recovery smoke to parse.
  *
+ * Numeric flags must be whole integers in range (--threads -1..256,
+ * --port 0..65535, --print-solo 0..2^20); anything else, or an unknown
+ * flag, prints the usage line and exits 2.
+ *
  * Prints "listening on 127.0.0.1:PORT" once bound (PORT is ephemeral
  * unless --port/NEO_SERVER_NET_PORT pins it) — the CI smoke parses that
  * line, drives the server with neo_serve_net_client, and compares the
@@ -26,6 +30,8 @@
 #include <cstring>
 #include <memory>
 
+#include "common/env.h"
+#include "common/parallel.h"
 #include "core/neo_renderer.h"
 #include "scene/synthetic.h"
 #include "scene/trajectory.h"
@@ -37,6 +43,25 @@ using namespace neo::serve;
 
 namespace
 {
+
+constexpr const char *kUsage = "usage: neo_serve_net [--threads N] "
+                               "[--port P] [--print-solo N] "
+                               "[--state-dir PATH]\n";
+
+/** Full-string integer in [@p lo, @p hi] for @p flag, or usage + exit 2. */
+long
+parseArg(const char *flag, const char *text, long lo, long hi)
+{
+    long v = 0;
+    if (!env::parseLong(text, &v) || v < lo || v > hi) {
+        std::fprintf(stderr,
+                     "neo_serve_net: %s '%s' is not an integer in "
+                     "[%ld, %ld]\n%s",
+                     flag, text, lo, hi, kUsage);
+        std::exit(2);
+    }
+    return v;
+}
 
 /** The scene/trajectory contract shared with neo_serve_net_client: the
     client opens an orbit at speed 1.0 and 256x192, which is exactly
@@ -63,20 +88,22 @@ main(int argc, char **argv)
     int print_solo = 0;
     const char *state_dir = nullptr;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-            threads = std::atoi(argv[++i]);
-        } else if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc) {
-            port = std::atoi(argv[++i]);
-        } else if (std::strcmp(argv[i], "--print-solo") == 0 &&
-                   i + 1 < argc) {
-            print_solo = std::atoi(argv[++i]);
-        } else if (std::strcmp(argv[i], "--state-dir") == 0 &&
-                   i + 1 < argc) {
-            state_dir = argv[++i];
+        const char *flag = argv[i];
+        if (i + 1 >= argc) {
+            std::fprintf(stderr, "%s", kUsage);
+            return 2;
+        }
+        const char *value = argv[++i];
+        if (std::strcmp(flag, "--threads") == 0) {
+            threads = static_cast<int>(parseArg(flag, value, -1, kMaxThreads));
+        } else if (std::strcmp(flag, "--port") == 0) {
+            port = static_cast<int>(parseArg(flag, value, 0, 65535));
+        } else if (std::strcmp(flag, "--print-solo") == 0) {
+            print_solo = static_cast<int>(parseArg(flag, value, 0, 1L << 20));
+        } else if (std::strcmp(flag, "--state-dir") == 0) {
+            state_dir = value;
         } else {
-            std::fprintf(stderr, "usage: neo_serve_net [--threads N] "
-                                 "[--port P] [--print-solo N] "
-                                 "[--state-dir PATH]\n");
+            std::fprintf(stderr, "%s", kUsage);
             return 2;
         }
     }

@@ -14,18 +14,48 @@
  * --abandon exits without closing the session — the crash-recovery
  * smoke uses it to leave a live session behind for a later --resume.
  *
+ * Numeric flags must be whole integers in range (--port 1..65535,
+ * --frames 1..2^20, --start-frame 0..2^30, --resume 0..2^32-1);
+ * anything else, or an unknown flag, prints the usage line and exits 2.
+ *
  * Prints "frame F HASH" per served frame (compared by ci.sh against
  * the server's "solo F HASH" reference lines) and "shutdown acked"
  * when --shutdown is acknowledged.
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
+#include "common/env.h"
 #include "serve/net/client.h"
 
 using namespace neo::serve::net;
+
+namespace
+{
+
+constexpr const char *kUsage =
+    "usage: neo_serve_net_client --port P [--frames N] [--shutdown] "
+    "[--resume ID] [--start-frame F] [--abandon]\n";
+
+/** Full-string integer in [@p lo, @p hi] for @p flag, or usage + exit 2. */
+long
+parseArg(const char *flag, const char *text, long lo, long hi)
+{
+    long v = 0;
+    if (!neo::env::parseLong(text, &v) || v < lo || v > hi) {
+        std::fprintf(stderr,
+                     "neo_serve_net_client: %s '%s' is not an integer in "
+                     "[%ld, %ld]\n%s",
+                     flag, text, lo, hi, kUsage);
+        std::exit(2);
+    }
+    return v;
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -37,29 +67,37 @@ main(int argc, char **argv)
     bool shutdown = false;
     bool abandon = false;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc) {
-            port = std::atoi(argv[++i]);
-        } else if (std::strcmp(argv[i], "--frames") == 0 && i + 1 < argc) {
-            frames = std::atoi(argv[++i]);
-        } else if (std::strcmp(argv[i], "--start-frame") == 0 &&
-                   i + 1 < argc) {
-            start_frame = std::atoi(argv[++i]);
-        } else if (std::strcmp(argv[i], "--resume") == 0 && i + 1 < argc) {
-            resume_id = std::atol(argv[++i]);
-        } else if (std::strcmp(argv[i], "--shutdown") == 0) {
+        const char *flag = argv[i];
+        if (std::strcmp(flag, "--shutdown") == 0) {
             shutdown = true;
-        } else if (std::strcmp(argv[i], "--abandon") == 0) {
+            continue;
+        }
+        if (std::strcmp(flag, "--abandon") == 0) {
             abandon = true;
+            continue;
+        }
+        if (i + 1 >= argc) {
+            std::fprintf(stderr, "%s", kUsage);
+            return 2;
+        }
+        const char *value = argv[++i];
+        if (std::strcmp(flag, "--port") == 0) {
+            port = static_cast<int>(parseArg(flag, value, 1, 65535));
+        } else if (std::strcmp(flag, "--frames") == 0) {
+            frames = static_cast<int>(parseArg(flag, value, 1, 1L << 20));
+        } else if (std::strcmp(flag, "--start-frame") == 0) {
+            start_frame =
+                static_cast<int>(parseArg(flag, value, 0, 1L << 30));
+        } else if (std::strcmp(flag, "--resume") == 0) {
+            resume_id = parseArg(flag, value, 0, UINT32_MAX);
         } else {
-            std::fprintf(stderr, "usage: neo_serve_net_client --port P "
-                                 "[--frames N] [--shutdown] "
-                                 "[--resume ID] [--start-frame F] "
-                                 "[--abandon]\n");
+            std::fprintf(stderr, "%s", kUsage);
             return 2;
         }
     }
-    if (port <= 0) {
-        std::fprintf(stderr, "neo_serve_net_client: --port required\n");
+    if (port < 0) {
+        std::fprintf(stderr, "neo_serve_net_client: --port required\n%s",
+                     kUsage);
         return 2;
     }
 

@@ -47,7 +47,7 @@ class Digest64
     void u64v(uint64_t v)
     {
         uint64_t &h = lanes_[next_ & 3u];
-        h = std::rotl(h ^ (v * kPrime2), 27) * kPrime1 + kPrime4;
+        h = mix(h, v);
         ++next_;
     }
 
@@ -57,16 +57,37 @@ class Digest64
     /** Accumulate a bool into the flag lane (order-sensitive). */
     void flag(bool b) { flags_ = flags_ * 3 + (b ? 2 : 1); }
 
-    /** Mix a raw byte range, 8 bytes per main-lane round. */
+    /**
+     * Mix a raw byte range, 8 bytes per main-lane round; a trailing
+     * partial word is zero-extended into one more round. The value is
+     * exactly that of feeding each word to u64v() in turn. The main loop
+     * takes four words per iteration with the four lanes held in locals,
+     * rotated so its first word lands in lane next_ & 3 as u64v would
+     * put it: the four multiply chains then overlap instead of each
+     * round waiting on a lane written back to memory.
+     */
     void bytes(const void *data, size_t n)
     {
         const unsigned char *p = static_cast<const unsigned char *>(data);
+        const unsigned phase = next_ & 3u;
+        uint64_t a = lanes_[phase];
+        uint64_t b = lanes_[(phase + 1) & 3u];
+        uint64_t c = lanes_[(phase + 2) & 3u];
+        uint64_t d = lanes_[(phase + 3) & 3u];
         size_t i = 0;
-        for (; i + 8 <= n; i += 8) {
-            uint64_t v;
-            std::memcpy(&v, p + i, 8);
-            u64v(v);
+        for (; i + 32 <= n; i += 32) {
+            a = mix(a, load(p + i));
+            b = mix(b, load(p + i + 8));
+            c = mix(c, load(p + i + 16));
+            d = mix(d, load(p + i + 24));
         }
+        lanes_[phase] = a;
+        lanes_[(phase + 1) & 3u] = b;
+        lanes_[(phase + 2) & 3u] = c;
+        lanes_[(phase + 3) & 3u] = d;
+        next_ += i / 8;
+        for (; i + 8 <= n; i += 8)
+            u64v(load(p + i));
         if (i < n) {
             uint64_t tail = 0;
             for (int shift = 0; i < n; ++i, shift += 8)
@@ -99,6 +120,20 @@ class Digest64
     static constexpr uint64_t kPrime3 = 0x165667b19e3779f9ull;
     static constexpr uint64_t kPrime4 = 0x85ebca77c2b2ae63ull;
     static constexpr uint64_t kPrime5 = 0x27d4eb2f165667c5ull;
+
+    /** One main-lane round (xxhash-style multiply-rotate). */
+    static uint64_t mix(uint64_t h, uint64_t v)
+    {
+        return std::rotl(h ^ (v * kPrime2), 27) * kPrime1 + kPrime4;
+    }
+
+    /** Host-order 8-byte load from an arbitrarily aligned address. */
+    static uint64_t load(const unsigned char *p)
+    {
+        uint64_t v = 0;
+        std::memcpy(&v, p, 8);
+        return v;
+    }
 
     uint64_t lanes_[4];
     uint64_t next_ = 0;

@@ -4,9 +4,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
+
+#include "common/digest.h"
 
 namespace neo
 {
@@ -107,18 +108,12 @@ Image::writePpm(const std::string &path) const
 uint64_t
 Image::contentHash() const
 {
-    uint64_t h = 1469598103934665603ull;
-    for (const Vec3 &px : data_) {
-        for (float c : {px.x, px.y, px.z}) {
-            uint32_t bits;
-            std::memcpy(&bits, &c, sizeof(bits));
-            for (int i = 0; i < 4; ++i) {
-                h ^= (bits >> (8 * i)) & 0xffu;
-                h *= 1099511628211ull;
-            }
-        }
-    }
-    return h;
+    static_assert(sizeof(Vec3) == 12, "a pixel is three packed floats");
+    Digest64 d;
+    d.u32v(static_cast<uint32_t>(width_));
+    d.u32v(static_cast<uint32_t>(height_));
+    d.bytes(data_.data(), data_.size() * sizeof(Vec3));
+    return d.finish();
 }
 
 } // namespace neo

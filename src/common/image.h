@@ -67,10 +67,14 @@ class Image
     bool writePpm(const std::string &path) const;
 
     /**
-     * FNV-1a over the raw bit pattern of every pixel channel. THE
-     * definition of "bit-identical frames" shared by the determinism
-     * tests and the thread-scaling bench; collisions don't matter,
-     * sensitivity to any single changed bit does.
+     * Digest64 (common/digest.h) over the width, the height and the raw
+     * bit pattern of every pixel channel in row-major order. THE
+     * definition of "bit-identical frames": the served frame hash, the
+     * attest cross-render, the determinism tests and the benches all
+     * compare this value. Any change confined to one 8-byte word of that
+     * stream changes the hash, so any single flipped bit does, and so
+     * does -0.0f versus +0.0f; other collisions are possible and do not
+     * matter.
      */
     uint64_t contentHash() const;
 

@@ -12,7 +12,7 @@
  *
  *   offset  size  field
  *   0       4     magic         "NEOS" (0x534F454E as a LE u32)
- *   4       4     version       kSnapshotVersion (2)
+ *   4       4     version       kSnapshotVersion (3)
  *   8       4     section count
  *   12      ...   sections
  *   end-8   8     Digest64 over every preceding byte
@@ -57,7 +57,11 @@ class ByteReader;
 
 /** "NEOS" read little-endian. */
 inline constexpr uint32_t kSnapshotMagic = 0x534F454Eu;
-inline constexpr uint32_t kSnapshotVersion = 2;
+/** Version 3: the persisted `last_outcome.frame_hash` is the Digest64
+    frame hash (Image::contentHash). A version 2 file carries the older
+    FNV-1a value; loading it would answer a retried frame with a hash no
+    fresh render reproduces, so it is refused. */
+inline constexpr uint32_t kSnapshotVersion = 3;
 /** Fixed prefix: magic + version + section count. */
 inline constexpr size_t kSnapshotHeaderSize = 12;
 /** Per-section prefix: type + length + crc32. */

@@ -3,6 +3,8 @@
  * Unit tests for the float RGB framebuffer.
  */
 
+#include <cstddef>
+#include <cstdint>
 #include <cstdio>
 
 #include <gtest/gtest.h>
@@ -84,6 +86,45 @@ TEST(ImageTest, LumaGreenDominates)
     Image g(1, 1, {0.0f, 1.0f, 0.0f});
     Image r(1, 1, {1.0f, 0.0f, 0.0f});
     EXPECT_GT(g.luma()[0], r.luma()[0]);
+}
+
+TEST(ImageTest, ContentHashSeesEveryBit)
+{
+    // 5x3 pixels are 180 bytes: Digest64's four-word loop runs five
+    // times, then two single words and a 4-byte tail follow.
+    Image img(5, 3);
+    for (int y = 0; y < 3; ++y)
+        for (int x = 0; x < 5; ++x)
+            img.at(x, y) = {0.1f * static_cast<float>(x),
+                            0.25f * static_cast<float>(y), 0.5f};
+    const uint64_t clean = img.contentHash();
+
+    unsigned char *raw =
+        reinterpret_cast<unsigned char *>(img.pixels().data());
+    const size_t n = img.pixelCount() * sizeof(Vec3);
+    ASSERT_EQ(n, 180u);
+    for (size_t byte = 0; byte < n; ++byte)
+        for (int bit = 0; bit < 8; ++bit) {
+            raw[byte] ^= static_cast<unsigned char>(1u << bit);
+            EXPECT_NE(img.contentHash(), clean)
+                << "byte " << byte << " bit " << bit;
+            raw[byte] ^= static_cast<unsigned char>(1u << bit);
+        }
+
+    // Equal images hash equally.
+    EXPECT_EQ(img.contentHash(), clean);
+    Image copy = img;
+    EXPECT_EQ(copy.contentHash(), clean);
+
+    // The shape is part of the definition: the same pixels read as 3x5.
+    Image swapped(3, 5);
+    swapped.pixels() = img.pixels();
+    EXPECT_NE(swapped.contentHash(), clean);
+
+    // Bit patterns, not values: -0.0f == +0.0f, yet they hash apart.
+    Image pos(2, 2, {0.0f, 0.0f, 0.0f});
+    Image neg(2, 2, {0.0f, -0.0f, 0.0f});
+    EXPECT_NE(pos.contentHash(), neg.contentHash());
 }
 
 TEST(ImageTest, WritePpmProducesFile)

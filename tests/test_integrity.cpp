@@ -35,16 +35,69 @@ namespace
 
 TEST(Digest64Test, AnySingleBitFlipChangesRawSpanDigest)
 {
-    std::vector<uint32_t> data = {0u, 1u, 0xdeadbeefu, 0xffffffffu};
-    const uint64_t clean = digestSpan(data.data(), data.size());
-    for (size_t e = 0; e < data.size(); ++e)
-        for (int bit = 0; bit < 32; ++bit) {
-            data[e] ^= 1u << bit;
-            EXPECT_NE(digestSpan(data.data(), data.size()), clean)
-                << "elem " << e << " bit " << bit;
-            data[e] ^= 1u << bit;
-        }
-    EXPECT_EQ(digestSpan(data.data(), data.size()), clean);
+    // 16 bytes stay on the word-at-a-time path; 108 bytes also run
+    // bytes()'s four-word loop (three times), then a word and a tail.
+    std::vector<uint32_t> wide(27);
+    for (size_t e = 0; e < wide.size(); ++e)
+        wide[e] = static_cast<uint32_t>(e) * 0x9e3779b9u;
+    for (std::vector<uint32_t> data :
+         {std::vector<uint32_t>{0u, 1u, 0xdeadbeefu, 0xffffffffu}, wide}) {
+        const uint64_t clean = digestSpan(data.data(), data.size());
+        for (size_t e = 0; e < data.size(); ++e)
+            for (int bit = 0; bit < 32; ++bit) {
+                data[e] ^= 1u << bit;
+                EXPECT_NE(digestSpan(data.data(), data.size()), clean)
+                    << data.size() << " elems, elem " << e << " bit "
+                    << bit;
+                data[e] ^= 1u << bit;
+            }
+        EXPECT_EQ(digestSpan(data.data(), data.size()), clean);
+    }
+}
+
+TEST(Digest64Test, FourWordLoopMatchesWordAtATime)
+{
+    // bytes() must equal its definition: every full 8-byte word through
+    // u64v in order, then the zero-extended tail as one more word. Cover
+    // every length across the four-word loop's edges, every lane phase
+    // it can start in, and an aligned and a misaligned pointer.
+    alignas(8) unsigned char buf[216];
+    for (size_t i = 0; i < sizeof buf; ++i)
+        buf[i] = static_cast<unsigned char>(i * 131u + 7u);
+    for (size_t offset : {size_t{0}, size_t{3}}) {
+        const unsigned char *p = buf + offset;
+        for (int phase = 0; phase < 4; ++phase)
+            for (size_t n = 0; n <= 200; ++n) {
+                Digest64 fast;
+                Digest64 ref;
+                for (int w = 0; w < phase; ++w) {
+                    fast.u64v(0x1000u + static_cast<uint64_t>(w));
+                    ref.u64v(0x1000u + static_cast<uint64_t>(w));
+                }
+                fast.bytes(p, n);
+                size_t i = 0;
+                for (; i + 8 <= n; i += 8) {
+                    uint64_t v = 0;
+                    std::memcpy(&v, p + i, 8);
+                    ref.u64v(v);
+                }
+                if (i < n) {
+                    uint64_t tail = 0;
+                    for (int shift = 0; i < n; ++i, shift += 8)
+                        tail |= static_cast<uint64_t>(p[i]) << shift;
+                    ref.u64v(tail);
+                }
+                EXPECT_EQ(fast.finish(), ref.finish())
+                    << "offset " << offset << " phase " << phase << " n "
+                    << n;
+                // The lane the next word lands in must agree too.
+                fast.u64v(0xabcdefu);
+                ref.u64v(0xabcdefu);
+                EXPECT_EQ(fast.finish(), ref.finish())
+                    << "offset " << offset << " phase " << phase << " n "
+                    << n << " (one word later)";
+            }
+    }
 }
 
 TEST(Digest64Test, ElementCountIsPartOfTheDigest)
