@@ -9,9 +9,7 @@
 
 #include "common/faultinject.h"
 #include "common/logging.h"
-#include "serve/durable/codec.h"
-#include "serve/durable/snapshot.h" // open-params codec
-#include "serve/net/wire.h"         // crc32
+#include "serve/durable/snapshot.h" // open-params codec, file loops
 
 namespace neo::serve::durable
 {
@@ -34,9 +32,8 @@ namespace
 {
 
 void
-encodeRecordPayload(std::vector<uint8_t> &out, const JournalRecord &rec)
+writeRecordPayload(ByteWriter &w, const JournalRecord &rec)
 {
-    ByteWriter w(out);
     w.u32(rec.session_id);
     switch (rec.type) {
     case JournalRecordType::Open:
@@ -79,70 +76,26 @@ decodeRecordPayload(uint8_t type, const uint8_t *data, size_t len,
     return true;
 }
 
-bool
-writeAllAt(int fd, const uint8_t *data, size_t len, uint64_t offset)
-{
-    size_t off = 0;
-    while (off < len) {
-        const ssize_t n = ::pwrite(fd, data + off, len - off,
-                                   static_cast<off_t>(offset + off));
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        off += static_cast<size_t>(n);
-    }
-    return true;
-}
-
-bool
-readAllFrom(int fd, uint64_t offset, std::vector<uint8_t> *out)
-{
-    out->clear();
-    uint8_t buf[1 << 16];
-    uint64_t pos = offset;
-    for (;;) {
-        const ssize_t n =
-            ::pread(fd, buf, sizeof(buf), static_cast<off_t>(pos));
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        if (n == 0)
-            return true;
-        out->insert(out->end(), buf, buf + n);
-        pos += static_cast<uint64_t>(n);
-    }
-}
-
-/** Length of the valid record prefix of @p data (record bytes only,
-    header excluded); counts whole valid records into @p records. */
+/** Decode the valid record prefix of @p data (record bytes only, header
+    excluded) into @p out and return its length in bytes. A torn or
+    corrupt record ends the prefix. */
 size_t
-validPrefix(const uint8_t *data, size_t len, uint64_t *records)
+readRecords(const uint8_t *data, size_t len, std::vector<JournalRecord> *out)
 {
-    size_t off = 0;
-    *records = 0;
-    while (len - off >= kRecordHeaderSize) {
-        ByteReader h(data + off, kRecordHeaderSize);
-        const uint8_t type = h.u8();
-        const uint32_t length = h.u32();
-        const uint32_t crc = h.u32();
-        if (length > kMaxRecordPayload)
-            break;
-        if (len - off - kRecordHeaderSize < length)
-            break;
-        const uint8_t *payload = data + off + kRecordHeaderSize;
-        if (net::crc32(payload, length) != crc)
-            break;
+    ByteReader r(data, len);
+    size_t valid = 0;
+    for (;;) {
+        const uint8_t type = r.u8();
+        const uint8_t *payload = nullptr;
+        uint32_t length = 0;
         JournalRecord rec;
-        if (!decodeRecordPayload(type, payload, length, &rec))
-            break;
-        off += kRecordHeaderSize + length;
-        ++*records;
+        if (r.fenced(kMaxRecordPayload, &payload, &length) !=
+                FenceStatus::Ok ||
+            !decodeRecordPayload(type, payload, length, &rec))
+            return valid;
+        out->push_back(rec);
+        valid = r.offset();
     }
-    return off;
 }
 
 } // namespace
@@ -228,7 +181,6 @@ Journal::open(const std::string &dir, std::string *err)
                  "epoch (nothing will be replayed from it)");
         epoch_ = 0;
         end_offset_ = kJournalHeaderSize;
-        tail_lost_ = 0;
         if (::ftruncate(fd_, 0) != 0 || !writeHeader(0)) {
             if (err)
                 *err = "init " + path_ + ": " + std::strerror(errno);
@@ -241,17 +193,16 @@ Journal::open(const std::string &dir, std::string *err)
 
     // Identify the valid record prefix and drop the crash-mid-append
     // tail so appends always extend a valid log.
-    uint64_t records = 0;
-    const size_t prefix = validPrefix(data.data() + kJournalHeaderSize,
-                                      data.size() - kJournalHeaderSize,
-                                      &records);
-    const uint64_t valid_end = kJournalHeaderSize + prefix;
-    tail_lost_ = data.size() - valid_end > 0 ? 1 : 0;
+    std::vector<JournalRecord> records;
+    const uint64_t valid_end =
+        kJournalHeaderSize + readRecords(data.data() + kJournalHeaderSize,
+                                         data.size() - kJournalHeaderSize,
+                                         &records);
     if (valid_end < data.size()) {
         warn("durable: journal %s: truncating %zu torn tail byte(s) "
-             "after %llu valid record(s)",
+             "after %zu valid record(s)",
              path_.c_str(), data.size() - static_cast<size_t>(valid_end),
-             static_cast<unsigned long long>(records));
+             records.size());
         if (::ftruncate(fd_, static_cast<off_t>(valid_end)) != 0) {
             if (err)
                 *err = "truncate " + path_ + ": " + std::strerror(errno);
@@ -272,14 +223,10 @@ Journal::append(const JournalRecord &rec)
     if (fd_ < 0)
         return false;
 
-    std::vector<uint8_t> payload;
-    encodeRecordPayload(payload, rec);
     std::vector<uint8_t> buf;
     ByteWriter w(buf);
     w.u8(static_cast<uint8_t>(rec.type));
-    w.u32(static_cast<uint32_t>(payload.size()));
-    w.u32(net::crc32(payload.data(), payload.size()));
-    buf.insert(buf.end(), payload.begin(), payload.end());
+    w.fenced([&](ByteWriter &p) { writeRecordPayload(p, rec); });
 
     // Fault hooks (see common/faultinject.h): FlipBit corrupts the
     // record in flight, TornWrite persists a prefix. Either way the
@@ -324,24 +271,7 @@ Journal::replay(uint64_t offset, std::vector<JournalRecord> *out) const
         return false;
     if (data.size() > end_offset_ - offset)
         data.resize(end_offset_ - offset);
-    size_t off = 0;
-    while (data.size() - off >= kRecordHeaderSize) {
-        ByteReader h(data.data() + off, kRecordHeaderSize);
-        const uint8_t type = h.u8();
-        const uint32_t length = h.u32();
-        const uint32_t crc = h.u32();
-        if (length > kMaxRecordPayload ||
-            data.size() - off - kRecordHeaderSize < length)
-            break;
-        const uint8_t *payload = data.data() + off + kRecordHeaderSize;
-        if (net::crc32(payload, length) != crc)
-            break;
-        JournalRecord rec;
-        if (!decodeRecordPayload(type, payload, length, &rec))
-            break;
-        out->push_back(rec);
-        off += kRecordHeaderSize + length;
-    }
+    readRecords(data.data(), data.size(), out);
     return true;
 }
 

@@ -18,10 +18,12 @@
  *   8       8     epoch    pairs records with snapshots (see below)
  *   16      ...   records
  *
- * Each record: {u8 type, u32 length, u32 crc32, payload}. A torn or
- * corrupt record ends the valid prefix: open() scans the file once and
- * truncates everything from the first invalid record on — the
- * crash-mid-append residue — so appends always extend a valid log.
+ * Each record is a u8 type followed by the {u32 length, u32 crc32,
+ * payload} fence that wire frames and snapshot sections also end in
+ * (common/codec.h). A torn or corrupt record ends the valid prefix:
+ * open() scans the file once and truncates everything from the first
+ * invalid record on — the crash-mid-append residue — so appends always
+ * extend a valid log.
  *
  * Epochs: snapshots store (journal_epoch, journal_offset). The journal
  * is only ever emptied by a *compacting* checkpoint (recovery completion
@@ -104,8 +106,6 @@ class Journal
     uint64_t epoch() const;
     /** Byte offset one past the last valid record (>= header size). */
     uint64_t endOffset() const;
-    /** Records dropped by open()'s torn-tail truncation. */
-    uint64_t tailRecordsLost() const { return tail_lost_; }
 
     /** fdatasync cadence: 0 never, 1 every append (default), N every
         Nth append. */
@@ -141,7 +141,6 @@ class Journal
     uint64_t end_offset_ = kJournalHeaderSize;
     uint64_t sync_every_ = 1;
     uint64_t unsynced_ = 0;
-    uint64_t tail_lost_ = 0;
 };
 
 } // namespace neo::serve::durable

@@ -12,8 +12,6 @@
 
 #include "common/digest.h"
 #include "common/faultinject.h"
-#include "serve/durable/codec.h"
-#include "serve/net/wire.h" // crc32
 
 namespace neo::serve::durable
 {
@@ -220,26 +218,12 @@ readOutcome(ByteReader &r, FrameOutcome *out)
 }
 
 void
-encodeSessionPayload(std::vector<uint8_t> &out, const SessionDurable &s)
+writeSession(ByteWriter &w, const SessionDurable &s)
 {
-    ByteWriter w(out);
     w.u32(s.id);
     writeOpenParams(w, s.open);
     w.u64(s.submit_seq);
-    w.u64(s.stats.submitted);
-    w.u64(s.stats.accepted);
-    w.u64(s.stats.rejected);
-    w.u64(s.stats.dropped_oldest);
-    w.u64(s.stats.coalesced);
-    w.u64(s.stats.dropped_stale);
-    w.u64(s.stats.backoff_skips);
-    w.u64(s.stats.rendered);
-    w.u64(s.stats.deadline_misses);
-    w.u64(s.stats.degraded_frames);
-    w.u64(s.stats.faults);
-    w.u64(s.stats.watchdog_trips);
-    w.u64(s.stats.quarantines);
-    w.u64(s.stats.recoveries);
+    writeStats(w, s.stats);
     w.u8(s.state);
     w.i32(s.quarantine_failures);
     w.i32(s.backoff_remaining);
@@ -273,20 +257,7 @@ decodeSessionPayload(const uint8_t *data, size_t len, SessionDurable *out)
     if (!readOpenParams(r, &s.open))
         return false;
     s.submit_seq = r.u64();
-    s.stats.submitted = r.u64();
-    s.stats.accepted = r.u64();
-    s.stats.rejected = r.u64();
-    s.stats.dropped_oldest = r.u64();
-    s.stats.coalesced = r.u64();
-    s.stats.dropped_stale = r.u64();
-    s.stats.backoff_skips = r.u64();
-    s.stats.rendered = r.u64();
-    s.stats.deadline_misses = r.u64();
-    s.stats.degraded_frames = r.u64();
-    s.stats.faults = r.u64();
-    s.stats.watchdog_trips = r.u64();
-    s.stats.quarantines = r.u64();
-    s.stats.recoveries = r.u64();
+    readStats(r, &s.stats);
     s.state = r.u8();
     s.quarantine_failures = r.i32();
     s.backoff_remaining = r.i32();
@@ -324,10 +295,8 @@ decodeSessionPayload(const uint8_t *data, size_t len, SessionDurable *out)
 }
 
 void
-encodeMetaPayload(std::vector<uint8_t> &out, const SnapshotMeta &meta,
-                  uint32_t session_count)
+writeMeta(ByteWriter &w, const SnapshotMeta &meta, uint32_t session_count)
 {
-    ByteWriter w(out);
     w.u64(meta.seq);
     w.u64(meta.journal_epoch);
     w.u64(meta.journal_offset);
@@ -353,17 +322,6 @@ decodeMetaPayload(const uint8_t *data, size_t len, SnapshotMeta *out,
     return true;
 }
 
-void
-appendSection(std::vector<uint8_t> &out, SectionType type,
-              const std::vector<uint8_t> &payload)
-{
-    ByteWriter w(out);
-    w.u32(static_cast<uint32_t>(type));
-    w.u32(static_cast<uint32_t>(payload.size()));
-    w.u32(net::crc32(payload.data(), payload.size()));
-    out.insert(out.end(), payload.begin(), payload.end());
-}
-
 } // namespace
 
 // --- Container ---------------------------------------------------------
@@ -372,24 +330,20 @@ std::vector<uint8_t>
 encodeSnapshot(const ServerSnapshot &snap)
 {
     std::vector<uint8_t> out;
-    {
-        ByteWriter w(out);
-        w.u32(kSnapshotMagic);
-        w.u32(kSnapshotVersion);
-        w.u32(static_cast<uint32_t>(1 + snap.sessions.size()));
-    }
-    std::vector<uint8_t> payload;
-    encodeMetaPayload(payload, snap.meta,
-                      static_cast<uint32_t>(snap.sessions.size()));
-    appendSection(out, SectionType::Meta, payload);
+    ByteWriter w(out);
+    w.u32(kSnapshotMagic);
+    w.u32(kSnapshotVersion);
+    w.u32(static_cast<uint32_t>(1 + snap.sessions.size()));
+    w.u32(static_cast<uint32_t>(SectionType::Meta));
+    w.fenced([&](ByteWriter &p) {
+        writeMeta(p, snap.meta, static_cast<uint32_t>(snap.sessions.size()));
+    });
     for (const SessionDurable &s : snap.sessions) {
-        payload.clear();
-        encodeSessionPayload(payload, s);
-        appendSection(out, SectionType::Session, payload);
+        w.u32(static_cast<uint32_t>(SectionType::Session));
+        w.fenced([&](ByteWriter &p) { writeSession(p, s); });
     }
     Digest64 d;
     d.bytes(out.data(), out.size());
-    ByteWriter w(out);
     w.u64(d.finish());
     return out;
 }
@@ -400,12 +354,13 @@ decodeSnapshot(const uint8_t *data, size_t len, ServerSnapshot *out)
     if (len < kSnapshotHeaderSize + kSnapshotTrailerSize)
         return SnapshotError::TooShort;
 
-    ByteReader header(data, kSnapshotHeaderSize);
-    if (header.u32() != kSnapshotMagic)
+    const size_t body_end = len - kSnapshotTrailerSize;
+    ByteReader r(data, body_end);
+    if (r.u32() != kSnapshotMagic)
         return SnapshotError::BadMagic;
-    if (header.u32() != kSnapshotVersion)
+    if (r.u32() != kSnapshotVersion)
         return SnapshotError::BadVersion;
-    const uint32_t sections = header.u32();
+    const uint32_t sections = r.u32();
 
     // Walk the sections first so a localized fault reports a localized
     // reason (the torn-file taxonomy); the whole-file digest below is
@@ -413,21 +368,16 @@ decodeSnapshot(const uint8_t *data, size_t len, ServerSnapshot *out)
     ServerSnapshot snap;
     uint32_t meta_count = 0;
     uint32_t meta_sessions = 0;
-    const size_t body_end = len - kSnapshotTrailerSize;
-    size_t off = kSnapshotHeaderSize;
     for (uint32_t i = 0; i < sections; ++i) {
-        if (body_end - off < kSectionHeaderSize)
-            return SnapshotError::SectionOverrun;
-        ByteReader sh(data + off, kSectionHeaderSize);
-        const uint32_t type = sh.u32();
-        const uint32_t length = sh.u32();
-        const uint32_t crc = sh.u32();
-        off += kSectionHeaderSize;
-        if (body_end - off < length)
-            return SnapshotError::SectionOverrun;
-        const uint8_t *payload = data + off;
-        if (net::crc32(payload, length) != crc)
+        const uint32_t type = r.u32();
+        const uint8_t *payload = nullptr;
+        uint32_t length = 0;
+        // No cap of its own: the file bounds a section.
+        const FenceStatus fence = r.fenced(len, &payload, &length);
+        if (fence == FenceStatus::BadCrc)
             return SnapshotError::SectionCrc;
+        if (fence != FenceStatus::Ok)
+            return SnapshotError::SectionOverrun;
         switch (static_cast<SectionType>(type)) {
         case SectionType::Meta:
             if (++meta_count > 1)
@@ -450,9 +400,8 @@ decodeSnapshot(const uint8_t *data, size_t len, ServerSnapshot *out)
             // type field with a compensating CRC, so reject it.
             return SnapshotError::BadSectionPayload;
         }
-        off += length;
     }
-    if (off != body_end)
+    if (!r.done())
         return SnapshotError::TrailingBytes;
     if (meta_count == 0)
         return SnapshotError::MissingMeta;
@@ -480,15 +429,13 @@ snapshotFileName(uint64_t seq)
     return buf;
 }
 
-namespace
-{
-
 bool
-writeAll(int fd, const uint8_t *data, size_t len)
+writeAllAt(int fd, const uint8_t *data, size_t len, uint64_t offset)
 {
     size_t off = 0;
     while (off < len) {
-        const ssize_t n = ::write(fd, data + off, len - off);
+        const ssize_t n = ::pwrite(fd, data + off, len - off,
+                                   static_cast<off_t>(offset + off));
         if (n < 0) {
             if (errno == EINTR)
                 continue;
@@ -498,6 +445,30 @@ writeAll(int fd, const uint8_t *data, size_t len)
     }
     return true;
 }
+
+bool
+readAllFrom(int fd, uint64_t offset, std::vector<uint8_t> *out)
+{
+    out->clear();
+    uint8_t buf[1 << 16];
+    uint64_t pos = offset;
+    for (;;) {
+        const ssize_t n =
+            ::pread(fd, buf, sizeof(buf), static_cast<off_t>(pos));
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            return false;
+        }
+        if (n == 0)
+            return true;
+        out->insert(out->end(), buf, buf + n);
+        pos += static_cast<uint64_t>(n);
+    }
+}
+
+namespace
+{
 
 void
 fsyncDir(const std::string &dir)
@@ -539,7 +510,7 @@ writeSnapshotFile(const std::string &dir, const ServerSnapshot &snap,
         setErr(err, "open " + tmp_path);
         return false;
     }
-    const bool wrote = writeAll(fd, image.data(), persist);
+    const bool wrote = writeAllAt(fd, image.data(), persist, 0);
     const bool synced = ::fsync(fd) == 0;
     ::close(fd);
     if (!wrote || !synced) {
@@ -571,20 +542,10 @@ loadSnapshotFile(const std::string &path, ServerSnapshot *out)
     if (fd < 0)
         return SnapshotError::OpenFailed;
     std::vector<uint8_t> data;
-    uint8_t buf[1 << 16];
-    for (;;) {
-        const ssize_t n = ::read(fd, buf, sizeof(buf));
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            ::close(fd);
-            return SnapshotError::OpenFailed;
-        }
-        if (n == 0)
-            break;
-        data.insert(data.end(), buf, buf + n);
-    }
+    const bool loaded = readAllFrom(fd, 0, &data);
     ::close(fd);
+    if (!loaded)
+        return SnapshotError::OpenFailed;
     return decodeSnapshot(data.data(), data.size(), out);
 }
 

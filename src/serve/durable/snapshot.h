@@ -24,6 +24,9 @@
  *   8       4     crc32         IEEE CRC-32 over the payload bytes
  *   12      len   payload
  *
+ * Bytes 4 onward are the {u32 length, u32 crc32, payload} fence that
+ * wire frames and journal records also end in (common/codec.h).
+ *
  * Two integrity fences on purpose: the per-section CRC localizes a
  * corrupt byte to one section (the torn-file taxonomy tests assert the
  * typed reason per section), and the whole-file Digest64 trailer catches
@@ -47,13 +50,11 @@
 #include <string>
 #include <vector>
 
+#include "common/codec.h"
 #include "serve/session.h"
 
 namespace neo::serve::durable
 {
-
-class ByteWriter;
-class ByteReader;
 
 /** "NEOS" read little-endian. */
 inline constexpr uint32_t kSnapshotMagic = 0x534F454Eu;
@@ -124,6 +125,12 @@ struct ServerSnapshot
     records (validated on read: out-of-range values are corruption). */
 void writeOpenParams(ByteWriter &w, const SessionOpenParams &p);
 bool readOpenParams(ByteReader &r, SessionOpenParams *out);
+
+/** File loops shared with the journal: pwrite all @p len bytes at
+    @p offset / pread from @p offset to end of file. EINTR and short
+    transfers retry; false on any other error (errno set). */
+bool writeAllAt(int fd, const uint8_t *data, size_t len, uint64_t offset);
+bool readAllFrom(int fd, uint64_t offset, std::vector<uint8_t> *out);
 
 /** Encode @p snap into the container format described above. */
 std::vector<uint8_t> encodeSnapshot(const ServerSnapshot &snap);

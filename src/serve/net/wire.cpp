@@ -1,7 +1,8 @@
 #include "serve/net/wire.h"
 
 #include <cmath>
-#include <cstring>
+
+#include "common/codec.h"
 
 namespace neo::serve::net
 {
@@ -9,108 +10,20 @@ namespace neo::serve::net
 namespace
 {
 
-/** Bounds-checked little-endian writer appending to a byte vector. */
-class Writer
-{
-  public:
-    explicit Writer(std::vector<uint8_t> &out) : out_(out) {}
-
-    void u8(uint8_t v) { out_.push_back(v); }
-    void u16(uint16_t v)
-    {
-        out_.push_back(static_cast<uint8_t>(v));
-        out_.push_back(static_cast<uint8_t>(v >> 8));
-    }
-    void u32(uint32_t v)
-    {
-        u16(static_cast<uint16_t>(v));
-        u16(static_cast<uint16_t>(v >> 16));
-    }
-    void u64(uint64_t v)
-    {
-        u32(static_cast<uint32_t>(v));
-        u32(static_cast<uint32_t>(v >> 32));
-    }
-    void i8(int8_t v) { u8(static_cast<uint8_t>(v)); }
-    void i32(int32_t v) { u32(static_cast<uint32_t>(v)); }
-    void f32(float v)
-    {
-        uint32_t bits;
-        std::memcpy(&bits, &v, sizeof(bits));
-        u32(bits);
-    }
-    void boolean(bool v) { u8(v ? 1 : 0); }
-
-  private:
-    std::vector<uint8_t> &out_;
-};
-
-/** Bounds-checked little-endian reader. ok() goes false on the first
-    over-read and every later value reads as zero — callers check once. */
-class Reader
-{
-  public:
-    Reader(const uint8_t *data, size_t len) : data_(data), len_(len) {}
-
-    bool ok() const { return ok_; }
-    bool done() const { return ok_ && off_ == len_; }
-
-    uint8_t u8()
-    {
-        if (!take(1))
-            return 0;
-        return data_[off_++];
-    }
-    uint16_t u16()
-    {
-        if (!take(2))
-            return 0;
-        uint16_t v = static_cast<uint16_t>(
-            data_[off_] | (static_cast<uint16_t>(data_[off_ + 1]) << 8));
-        off_ += 2;
-        return v;
-    }
-    uint32_t u32()
-    {
-        const uint32_t lo = u16();
-        const uint32_t hi = u16();
-        return lo | (hi << 16);
-    }
-    uint64_t u64()
-    {
-        const uint64_t lo = u32();
-        const uint64_t hi = u32();
-        return lo | (hi << 32);
-    }
-    int8_t i8() { return static_cast<int8_t>(u8()); }
-    int32_t i32() { return static_cast<int32_t>(u32()); }
-    float f32()
-    {
-        const uint32_t bits = u32();
-        float v;
-        std::memcpy(&v, &bits, sizeof(v));
-        return v;
-    }
-    bool boolean() { return u8() != 0; }
-
-  private:
-    bool take(size_t n)
-    {
-        if (!ok_ || len_ - off_ < n) {
-            ok_ = false;
-            return false;
-        }
-        return true;
-    }
-
-    const uint8_t *data_;
-    size_t len_;
-    size_t off_ = 0;
-    bool ok_ = true;
-};
-
 /** The four magic bytes as they appear on the wire ("NEOW"). */
 constexpr uint8_t kMagicBytes[4] = {0x4E, 0x45, 0x4F, 0x57};
+
+/** Append one framed message whose payload @p fill writes in place. */
+template <typename Fill>
+void
+frame(std::vector<uint8_t> &out, MsgType type, Fill fill)
+{
+    ByteWriter w(out);
+    w.u32(kWireMagic);
+    w.u16(kWireVersion);
+    w.u16(static_cast<uint16_t>(type));
+    w.fenced(fill);
+}
 
 } // namespace
 
@@ -201,61 +114,22 @@ wireErrorName(WireError error)
     return "none";
 }
 
-uint32_t
-crc32(const void *data, size_t len)
-{
-    static const auto table = [] {
-        std::vector<uint32_t> t(256);
-        for (uint32_t i = 0; i < 256; ++i) {
-            uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
-        }
-        return t;
-    }();
-    const uint8_t *p = static_cast<const uint8_t *>(data);
-    uint32_t crc = 0xFFFFFFFFu;
-    for (size_t i = 0; i < len; ++i)
-        crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
-    return crc ^ 0xFFFFFFFFu;
-}
-
 // --- Encoding ----------------------------------------------------------
 
 void
 encodeFrame(std::vector<uint8_t> &out, MsgType type,
             const uint8_t *payload, size_t len)
 {
-    Writer w(out);
-    w.u32(kWireMagic);
-    w.u16(kWireVersion);
-    w.u16(static_cast<uint16_t>(type));
-    w.u32(static_cast<uint32_t>(len));
-    w.u32(crc32(payload, len));
-    out.insert(out.end(), payload, payload + len);
+    frame(out, type, [&](ByteWriter &w) {
+        for (size_t i = 0; i < len; ++i)
+            w.u8(payload[i]);
+    });
 }
-
-namespace
-{
-
-/** Encode a payload built by @p fill into a framed message on @p out. */
-template <typename Fill>
-void
-frame(std::vector<uint8_t> &out, MsgType type, Fill fill)
-{
-    std::vector<uint8_t> payload;
-    Writer w(payload);
-    fill(w);
-    encodeFrame(out, type, payload.data(), payload.size());
-}
-
-} // namespace
 
 void
 encodeOpenSession(std::vector<uint8_t> &out, const OpenSessionReq &m)
 {
-    frame(out, MsgType::OpenSession, [&](Writer &w) {
+    frame(out, MsgType::OpenSession, [&](ByteWriter &w) {
         w.u8(m.trajectory_kind);
         w.f32(m.speed);
         w.u16(m.width);
@@ -266,13 +140,13 @@ encodeOpenSession(std::vector<uint8_t> &out, const OpenSessionReq &m)
 void
 encodeOpenOk(std::vector<uint8_t> &out, const OpenOkReply &m)
 {
-    frame(out, MsgType::OpenOk, [&](Writer &w) { w.u32(m.session_id); });
+    frame(out, MsgType::OpenOk, [&](ByteWriter &w) { w.u32(m.session_id); });
 }
 
 void
 encodeSubmitFrame(std::vector<uint8_t> &out, const SubmitFrameReq &m)
 {
-    frame(out, MsgType::SubmitFrame, [&](Writer &w) {
+    frame(out, MsgType::SubmitFrame, [&](ByteWriter &w) {
         w.u32(m.session_id);
         w.u64(m.frame_index);
     });
@@ -281,7 +155,7 @@ encodeSubmitFrame(std::vector<uint8_t> &out, const SubmitFrameReq &m)
 void
 encodeSubmitReply(std::vector<uint8_t> &out, const SubmitReply &m)
 {
-    frame(out, MsgType::SubmitReply, [&](Writer &w) {
+    frame(out, MsgType::SubmitReply, [&](ByteWriter &w) {
         w.boolean(m.accepted);
         w.boolean(m.coalesced);
         w.boolean(m.dropped_oldest);
@@ -304,30 +178,17 @@ void
 encodeSessionRef(std::vector<uint8_t> &out, MsgType type,
                  const SessionRef &m)
 {
-    frame(out, type, [&](Writer &w) { w.u32(m.session_id); });
+    frame(out, type, [&](ByteWriter &w) { w.u32(m.session_id); });
 }
 
 void
 encodeStatsReply(std::vector<uint8_t> &out, const StatsReply &m)
 {
-    frame(out, MsgType::StatsReply, [&](Writer &w) {
+    frame(out, MsgType::StatsReply, [&](ByteWriter &w) {
         w.u32(m.session_id);
         w.u8(m.state);
         w.u32(m.queue_depth);
-        w.u64(m.stats.submitted);
-        w.u64(m.stats.accepted);
-        w.u64(m.stats.rejected);
-        w.u64(m.stats.dropped_oldest);
-        w.u64(m.stats.coalesced);
-        w.u64(m.stats.dropped_stale);
-        w.u64(m.stats.backoff_skips);
-        w.u64(m.stats.rendered);
-        w.u64(m.stats.deadline_misses);
-        w.u64(m.stats.degraded_frames);
-        w.u64(m.stats.faults);
-        w.u64(m.stats.watchdog_trips);
-        w.u64(m.stats.quarantines);
-        w.u64(m.stats.recoveries);
+        writeStats(w, m.stats);
         w.boolean(m.durable);
         w.boolean(m.recovered);
         w.u64(m.snapshot_seq);
@@ -339,13 +200,13 @@ encodeStatsReply(std::vector<uint8_t> &out, const StatsReply &m)
 void
 encodeEmpty(std::vector<uint8_t> &out, MsgType type)
 {
-    encodeFrame(out, type, nullptr, 0);
+    frame(out, type, [](ByteWriter &) {});
 }
 
 void
 encodeError(std::vector<uint8_t> &out, const ErrorReply &m)
 {
-    frame(out, MsgType::Error, [&](Writer &w) {
+    frame(out, MsgType::Error, [&](ByteWriter &w) {
         w.u16(m.code);
         w.u16(m.detail);
     });
@@ -356,7 +217,7 @@ encodeError(std::vector<uint8_t> &out, const ErrorReply &m)
 bool
 decodeOpenSession(const std::vector<uint8_t> &p, OpenSessionReq *out)
 {
-    Reader r(p.data(), p.size());
+    ByteReader r(p.data(), p.size());
     OpenSessionReq m;
     m.trajectory_kind = r.u8();
     m.speed = r.f32();
@@ -380,7 +241,7 @@ decodeOpenSession(const std::vector<uint8_t> &p, OpenSessionReq *out)
 bool
 decodeOpenOk(const std::vector<uint8_t> &p, OpenOkReply *out)
 {
-    Reader r(p.data(), p.size());
+    ByteReader r(p.data(), p.size());
     OpenOkReply m;
     m.session_id = r.u32();
     if (!r.done())
@@ -392,7 +253,7 @@ decodeOpenOk(const std::vector<uint8_t> &p, OpenOkReply *out)
 bool
 decodeSubmitFrame(const std::vector<uint8_t> &p, SubmitFrameReq *out)
 {
-    Reader r(p.data(), p.size());
+    ByteReader r(p.data(), p.size());
     SubmitFrameReq m;
     m.session_id = r.u32();
     m.frame_index = r.u64();
@@ -405,7 +266,7 @@ decodeSubmitFrame(const std::vector<uint8_t> &p, SubmitFrameReq *out)
 bool
 decodeSubmitReply(const std::vector<uint8_t> &p, SubmitReply *out)
 {
-    Reader r(p.data(), p.size());
+    ByteReader r(p.data(), p.size());
     SubmitReply m;
     m.accepted = r.boolean();
     m.coalesced = r.boolean();
@@ -431,7 +292,7 @@ decodeSubmitReply(const std::vector<uint8_t> &p, SubmitReply *out)
 bool
 decodeSessionRef(const std::vector<uint8_t> &p, SessionRef *out)
 {
-    Reader r(p.data(), p.size());
+    ByteReader r(p.data(), p.size());
     SessionRef m;
     m.session_id = r.u32();
     if (!r.done())
@@ -443,25 +304,12 @@ decodeSessionRef(const std::vector<uint8_t> &p, SessionRef *out)
 bool
 decodeStatsReply(const std::vector<uint8_t> &p, StatsReply *out)
 {
-    Reader r(p.data(), p.size());
+    ByteReader r(p.data(), p.size());
     StatsReply m;
     m.session_id = r.u32();
     m.state = r.u8();
     m.queue_depth = r.u32();
-    m.stats.submitted = r.u64();
-    m.stats.accepted = r.u64();
-    m.stats.rejected = r.u64();
-    m.stats.dropped_oldest = r.u64();
-    m.stats.coalesced = r.u64();
-    m.stats.dropped_stale = r.u64();
-    m.stats.backoff_skips = r.u64();
-    m.stats.rendered = r.u64();
-    m.stats.deadline_misses = r.u64();
-    m.stats.degraded_frames = r.u64();
-    m.stats.faults = r.u64();
-    m.stats.watchdog_trips = r.u64();
-    m.stats.quarantines = r.u64();
-    m.stats.recoveries = r.u64();
+    readStats(r, &m.stats);
     m.durable = r.boolean();
     m.recovered = r.boolean();
     m.snapshot_seq = r.u64();
@@ -476,7 +324,7 @@ decodeStatsReply(const std::vector<uint8_t> &p, StatsReply *out)
 bool
 decodeError(const std::vector<uint8_t> &p, ErrorReply *out)
 {
-    Reader r(p.data(), p.size());
+    ByteReader r(p.data(), p.size());
     ErrorReply m;
     m.code = r.u16();
     m.detail = r.u16();
@@ -554,12 +402,10 @@ FrameDecoder::next(DecodedFrame *frame, WireError *error)
             return DecodeStatus::NeedMore;
         }
 
-        Reader r(buf_.data() + off_, kWireHeaderSize);
+        ByteReader r(buf_.data() + off_, avail);
         const uint32_t magic = r.u32();
         const uint16_t version = r.u16();
         const uint16_t type = r.u16();
-        const uint32_t length = r.u32();
-        const uint32_t crc = r.u32();
 
         if (magic != kWireMagic) {
             // One typed error per resync event; the scan then swallows
@@ -578,27 +424,27 @@ FrameDecoder::next(DecodedFrame *frame, WireError *error)
             *error = WireError::BadVersion;
             return DecodeStatus::Error;
         }
-        if (length > max_payload_) {
+        const uint8_t *payload = nullptr;
+        uint32_t length = 0;
+        const FenceStatus fence = r.fenced(max_payload_, &payload, &length);
+        if (fence == FenceStatus::Oversized) {
             off_ += 4;
             resync_ = true;
             ++errors_;
             *error = WireError::Oversized;
             return DecodeStatus::Error;
         }
-        if (avail < kWireHeaderSize + length)
+        if (fence == FenceStatus::Short)
             return DecodeStatus::NeedMore;
 
-        const uint8_t *payload = buf_.data() + off_ + kWireHeaderSize;
-        const bool crc_ok = crc32(payload, length) == crc;
-        const bool type_ok = knownMsgType(type);
         // Framing is trusted from here on: consume the whole frame even
         // when its contents are rejected, and keep parsing.
-        if (!crc_ok || !type_ok) {
+        if (fence == FenceStatus::BadCrc || !knownMsgType(type)) {
             off_ += kWireHeaderSize + length;
             compact();
             ++errors_;
-            *error = crc_ok ? WireError::UnknownType
-                            : WireError::CrcMismatch;
+            *error = fence == FenceStatus::BadCrc ? WireError::CrcMismatch
+                                                  : WireError::UnknownType;
             return DecodeStatus::Error;
         }
 

@@ -14,6 +14,9 @@
  *   12      4     crc32      IEEE CRC-32 over the payload bytes
  *   16      len   payload    fixed-layout fields per type
  *
+ * Bytes 8 onward are the {u32 length, u32 crc32, payload} fence that
+ * snapshot sections and journal records also end in (common/codec.h).
+ *
  * The decoder is incremental (frames arrive torn at arbitrary offsets)
  * and total: any byte stream maps to a sequence of frames and typed
  * errors, never a crash, an over-read, or unbounded buffering. After a
@@ -93,9 +96,6 @@ enum class WireError : uint16_t
 
 /** Lower-case error name ("bad-magic", ...). */
 const char *wireErrorName(WireError error);
-
-/** IEEE CRC-32 (reflected, poly 0xEDB88320) of @p len bytes. */
-uint32_t crc32(const void *data, size_t len);
 
 // --- Typed payloads ----------------------------------------------------
 

@@ -24,6 +24,44 @@ sessionStateName(SessionState state)
     return "unknown";
 }
 
+void
+writeStats(ByteWriter &w, const SessionStats &s)
+{
+    w.u64(s.submitted);
+    w.u64(s.accepted);
+    w.u64(s.rejected);
+    w.u64(s.dropped_oldest);
+    w.u64(s.coalesced);
+    w.u64(s.dropped_stale);
+    w.u64(s.backoff_skips);
+    w.u64(s.rendered);
+    w.u64(s.deadline_misses);
+    w.u64(s.degraded_frames);
+    w.u64(s.faults);
+    w.u64(s.watchdog_trips);
+    w.u64(s.quarantines);
+    w.u64(s.recoveries);
+}
+
+void
+readStats(ByteReader &r, SessionStats *out)
+{
+    out->submitted = r.u64();
+    out->accepted = r.u64();
+    out->rejected = r.u64();
+    out->dropped_oldest = r.u64();
+    out->coalesced = r.u64();
+    out->dropped_stale = r.u64();
+    out->backoff_skips = r.u64();
+    out->rendered = r.u64();
+    out->deadline_misses = r.u64();
+    out->degraded_frames = r.u64();
+    out->faults = r.u64();
+    out->watchdog_trips = r.u64();
+    out->quarantines = r.u64();
+    out->recoveries = r.u64();
+}
+
 Session::Session(uint32_t id, std::shared_ptr<const GaussianScene> scene,
                  std::shared_ptr<const RendererShared> shared,
                  Trajectory trajectory, Resolution resolution,

@@ -32,6 +32,7 @@
 #include <mutex>
 #include <optional>
 
+#include "common/codec.h"
 #include "common/image.h"
 #include "core/neo_renderer.h"
 #include "scene/trajectory.h"
@@ -113,6 +114,13 @@ struct SessionStats
     uint64_t quarantines = 0; //!< Healthy -> Quarantined transitions
     uint64_t recoveries = 0;  //!< successful rebuilds back to Healthy
 };
+
+/** The 14 counters as 14 little-endian u64s, in declaration order: the
+    one layout the wire StatsReply and the snapshot's Session section
+    share. */
+void writeStats(ByteWriter &w, const SessionStats &s);
+/** Inverse of writeStats(); an over-read shows up in @p r.ok(). */
+void readStats(ByteReader &r, SessionStats *out);
 
 /**
  * Everything needed to re-admit a session at its original id after a

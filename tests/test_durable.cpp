@@ -4,11 +4,14 @@
  * torn-file taxonomy (truncation at every offset, a flipped byte in
  * every region, a seeded corruption fuzz loop — every corruption is
  * detected with a typed reason, never silently loaded), journal
- * torn-tail truncation and epoch pairing, faultinject-driven crash
- * states of the production writers (torn write, bit rot, kill between
- * temp write and rename), and the recovery attestation: an interrupted
- * server rebuilt from snapshot + journal replay continues its sessions
- * bit-identical to an uninterrupted solo render at threads {1, 2, 8}.
+ * torn-tail truncation and epoch pairing, the journal's own taxonomy
+ * (a cut at every offset and a flip of every record bit keep exactly the
+ * whole records before the damage), byte pins of both formats,
+ * faultinject-driven crash states of the production writers (torn
+ * write, bit rot, kill between temp write and rename), and the recovery
+ * attestation: an interrupted server rebuilt from snapshot + journal
+ * replay continues its sessions bit-identical to an uninterrupted solo
+ * render at threads {1, 2, 8}.
  */
 
 #include <cstdint>
@@ -257,6 +260,19 @@ TEST(SnapshotCodecTest, EmptySnapshotRoundTrips)
     EXPECT_TRUE(out.sessions.empty());
 }
 
+TEST(SnapshotFormatPinTest, SampleImageIsUnchanged)
+{
+    // A round trip cannot see a layout change made alike in the encoder
+    // and the decoder; the image's size, CRC-32 and trailer can.
+    const std::vector<uint8_t> bytes = encodeSnapshot(sampleSnapshot());
+    ASSERT_EQ(bytes.size(), 769u);
+    EXPECT_EQ(crc32(bytes.data(), bytes.size()), 0x8aeac073u);
+    EXPECT_EQ(neo::test::hexBytes(bytes.data() + bytes.size() -
+                                      kSnapshotTrailerSize,
+                                  kSnapshotTrailerSize),
+              "80a106149713167c");
+}
+
 // --- Torn-file taxonomy ------------------------------------------------
 
 TEST(SnapshotTaxonomyTest, TruncationAtEveryOffsetIsDetected)
@@ -387,7 +403,6 @@ TEST(JournalTest, RoundTripsRecordsAcrossReopen)
     Journal j;
     ASSERT_TRUE(j.open(dir.path()));
     EXPECT_EQ(j.endOffset(), end);
-    EXPECT_EQ(j.tailRecordsLost(), 0u);
     std::vector<JournalRecord> records;
     ASSERT_TRUE(j.replay(kJournalHeaderSize, &records));
     ASSERT_EQ(records.size(), 3u);
@@ -466,6 +481,164 @@ TEST(JournalTest, ResetMovesEpochAndEmptiesLog)
     std::vector<JournalRecord> records;
     ASSERT_TRUE(j.replay(kJournalHeaderSize, &records));
     EXPECT_TRUE(records.empty());
+}
+
+std::vector<uint8_t>
+readFile(const std::string &path)
+{
+    std::vector<uint8_t> data;
+    FILE *f = fopen(path.c_str(), "rb");
+    EXPECT_NE(f, nullptr) << path;
+    if (!f)
+        return data;
+    uint8_t buf[4096];
+    size_t n = 0;
+    while ((n = fread(buf, 1, sizeof(buf), f)) > 0)
+        data.insert(data.end(), buf, buf + n);
+    fclose(f);
+    return data;
+}
+
+void
+writeFile(const std::string &path, const uint8_t *data, size_t len)
+{
+    FILE *f = fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr) << path;
+    EXPECT_EQ(fwrite(data, 1, len, f), len);
+    fclose(f);
+}
+
+TEST(JournalFormatPinTest, SubmitRecordBytesAreUnchanged)
+{
+    ScratchDir dir;
+    {
+        Journal j;
+        ASSERT_TRUE(j.open(dir.path()));
+        ASSERT_TRUE(j.append(submitRecord(2, 7)));
+    }
+    // Type, then the {length, crc32, payload} fence.
+    const std::vector<uint8_t> file = readFile(dir.path() + "/journal.neoj");
+    ASSERT_EQ(file.size(), kJournalHeaderSize + kRecordHeaderSize + 12);
+    EXPECT_EQ(neo::test::hexBytes(file.data() + kJournalHeaderSize,
+                                  file.size() - kJournalHeaderSize),
+              "020c000000e9512b9d020000000700000000000000");
+}
+
+// --- Journal corruption taxonomy ---------------------------------------
+
+/** JournalRecord has no operator==: every field the codec carries. */
+bool
+sameRecord(const JournalRecord &a, const JournalRecord &b)
+{
+    const SessionOpenParams &p = a.open;
+    const SessionOpenParams &q = b.open;
+    return a.type == b.type && a.session_id == b.session_id &&
+           a.frame_index == b.frame_index &&
+           p.trajectory_kind == q.trajectory_kind &&
+           p.center.x == q.center.x && p.center.y == q.center.y &&
+           p.center.z == q.center.z && p.radius == q.radius &&
+           p.speed == q.speed && p.width == q.width &&
+           p.height == q.height &&
+           p.qos.target_fps == q.qos.target_fps &&
+           p.qos.deadline_ms == q.qos.deadline_ms &&
+           p.qos.max_resolution_drop == q.qos.max_resolution_drop &&
+           p.qos.max_staleness == q.qos.max_staleness &&
+           p.qos.queue_capacity == q.qos.queue_capacity &&
+           p.qos.drop_policy == q.qos.drop_policy &&
+           p.qos.restore_after == q.qos.restore_after;
+}
+
+/** An Open, Submit, Close journal as written: the file bytes, the
+    records, and the file offset each record ends at. */
+struct SampleJournal
+{
+    std::vector<uint8_t> file;
+    std::vector<JournalRecord> records;
+    std::vector<uint64_t> ends;
+};
+
+SampleJournal
+writeSampleJournal(const std::string &dir)
+{
+    JournalRecord open;
+    open.type = JournalRecordType::Open;
+    open.session_id = 2;
+    open.open.trajectory_kind = 1;
+    open.open.center = {1.0f, 2.0f, 3.0f};
+    open.open.radius = 4.0f;
+    open.open.speed = 1.25f;
+    open.open.width = 64;
+    open.open.height = 48;
+    open.open.qos.deadline_ms = 12.0;
+    open.open.qos.drop_policy = DropPolicy::CoalesceLatest;
+    JournalRecord close;
+    close.type = JournalRecordType::Close;
+    close.session_id = 2;
+
+    SampleJournal s;
+    s.records = {open, submitRecord(2, 7), close};
+    Journal j;
+    EXPECT_TRUE(j.open(dir));
+    for (const JournalRecord &rec : s.records) {
+        EXPECT_TRUE(j.append(rec));
+        s.ends.push_back(j.endOffset());
+    }
+    s.file = readFile(j.path());
+    EXPECT_EQ(s.file.size(), s.ends.back());
+    return s;
+}
+
+/** Reopen the journal in @p dir and check that it holds exactly the
+    first @p kept sample records, ending on that record boundary. */
+void
+expectPrefixKept(const std::string &dir, const SampleJournal &s,
+                 size_t kept, const std::string &what)
+{
+    Journal j;
+    ASSERT_TRUE(j.open(dir)) << what;
+    EXPECT_EQ(j.endOffset(), kept ? s.ends[kept - 1] : kJournalHeaderSize)
+        << what;
+    std::vector<JournalRecord> got;
+    ASSERT_TRUE(j.replay(kJournalHeaderSize, &got)) << what;
+    ASSERT_EQ(got.size(), kept) << what;
+    for (size_t i = 0; i < kept; ++i)
+        EXPECT_TRUE(sameRecord(got[i], s.records[i]))
+            << what << ": record " << i << " altered";
+}
+
+TEST(JournalTaxonomyTest, TruncationAtEveryOffsetKeepsTheWholeRecords)
+{
+    ScratchDir dir;
+    const SampleJournal s = writeSampleJournal(dir.path());
+    const std::string path = dir.path() + "/journal.neoj";
+    for (size_t cut = kJournalHeaderSize; cut <= s.file.size(); ++cut) {
+        writeFile(path, s.file.data(), cut);
+        size_t kept = 0;
+        while (kept < s.ends.size() && s.ends[kept] <= cut)
+            ++kept;
+        expectPrefixKept(dir.path(), s, kept,
+                         "cut at " + std::to_string(cut));
+    }
+}
+
+TEST(JournalTaxonomyTest, EveryFlippedBitEndsTheLogAtTheDamagedRecord)
+{
+    ScratchDir dir;
+    const SampleJournal s = writeSampleJournal(dir.path());
+    const std::string path = dir.path() + "/journal.neoj";
+    for (size_t at = kJournalHeaderSize; at < s.file.size(); ++at) {
+        size_t damaged = 0;
+        while (s.ends[damaged] <= at)
+            ++damaged;
+        for (int bit = 0; bit < 8; ++bit) {
+            std::vector<uint8_t> m = s.file;
+            m[at] ^= static_cast<uint8_t>(1u << bit);
+            writeFile(path, m.data(), m.size());
+            expectPrefixKept(dir.path(), s, damaged,
+                             "byte " + std::to_string(at) + " bit " +
+                                 std::to_string(bit));
+        }
+    }
 }
 
 // --- Faultinject-driven crash states of the production writers ---------

@@ -1,7 +1,7 @@
 /**
  * @file
  * Shared helpers for the test suite: tiny deterministic scenes, random
- * tile tables, and convenience cameras.
+ * tile tables, convenience cameras, and hex spelling for format pins.
  */
 
 #ifndef NEO_TESTS_TEST_UTIL_H
@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -141,6 +142,19 @@ nearlySortedTable(size_t n, float jitter, uint64_t seed = 13)
     for (auto &e : t)
         e.depth += rng.uniform(-jitter, jitter);
     return t;
+}
+
+/** Lower-case hex of @p len bytes, the spelling of the format pins. */
+inline std::string
+hexBytes(const uint8_t *data, size_t len)
+{
+    static const char kDigits[] = "0123456789abcdef";
+    std::string s;
+    for (size_t i = 0; i < len; ++i) {
+        s += kDigits[data[i] >> 4];
+        s += kDigits[data[i] & 0xF];
+    }
+    return s;
 }
 
 } // namespace neo::test
