@@ -14,7 +14,7 @@
  * through the same code as bench_scaling's threads=1 point — one
  * NeoRenderer frame loop, an untimed cold-start frame 0, then timed
  * reuse frames 1..N each hashed — so bench/diff_bench.sh gates the
- * serving-layer overhead (queues, QoS, watchdog) as their difference.
+ * serving-layer overhead (queues, QoS) as their difference.
  *
  *   ./bench_server [--json out.json] [--gaussians N] [--frames N]
  *                  [--sessions-list 1,2,4] [--threads-list 1,2,4,8]
@@ -366,10 +366,6 @@ main(int argc, char **argv)
             cfg.max_sessions = static_cast<size_t>(S);
             cfg.pipeline = NeoRenderer::neoDefaultOptions();
             cfg.pipeline.threads = T;
-            // The bench measures throughput under oversubscription; a
-            // contention spike is not a wedged stage, so park the
-            // watchdog floor far above any real frame time.
-            cfg.watchdog_floor_ms = 10000.0;
 
             serve::NeoServer server(scene, cfg);
             std::vector<serve::Session *> sessions;
@@ -454,7 +450,6 @@ main(int argc, char **argv)
             cfg.max_sessions = 1;
             cfg.pipeline = NeoRenderer::neoDefaultOptions();
             cfg.pipeline.threads = T;
-            cfg.watchdog_floor_ms = 10000.0;
             serve::NeoServer server(scene, cfg);
 
             serve::net::NetConfig ncfg = serve::net::netConfigFromEnv();
@@ -580,7 +575,6 @@ main(int argc, char **argv)
             cfg.max_sessions = 1;
             cfg.pipeline = NeoRenderer::neoDefaultOptions();
             cfg.pipeline.threads = T;
-            cfg.watchdog_floor_ms = 10000.0;
             serve::NeoServer server(scene, cfg);
             if (durable && !server.enableDurability(*durable))
                 return -1.0;

@@ -9,9 +9,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/neo_renderer.h"
+#include "example_args.h"
 #include "metrics/psnr.h"
 #include "scene/datasets.h"
 #include "scene/trajectory.h"
@@ -21,7 +21,12 @@ using namespace neo;
 int
 main(int argc, char **argv)
 {
-    const int frames = argc > 1 ? std::atoi(argv[1]) : 8;
+    const examples::ArgParser args{
+        "flythrough", "usage: flythrough [frames] [output_prefix]\n"};
+    const int frames =
+        argc > 1 ? static_cast<int>(args.integer("frames", argv[1], 1,
+                                                 100000))
+                 : 8;
     const char *prefix = argc > 2 ? argv[2] : "flythrough";
 
     // A scaled-down "Lighthouse" so the functional renderer stays

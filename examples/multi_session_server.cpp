@@ -1,9 +1,10 @@
 /**
  * @file
  * Multi-session serving demo: one NeoServer, three camera streams with
- * different QoS targets, an overloaded queue, an injected stall that
- * quarantines its session, and the recovery back to Healthy — while the
- * other sessions' frames stay bit-identical to solo runs.
+ * different QoS targets, an overloaded queue, an injected bit flip that
+ * the integrity fences catch and that quarantines its session, and the
+ * cold rebuild back to Healthy — while the other sessions' frames stay
+ * bit-identical to solo runs.
  *
  *   ./multi_session_server [--threads N]
  *
@@ -13,11 +14,13 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 
+#include "common/faultinject.h"
+#include "common/integrity.h"
 #include "common/parallel.h"
+#include "example_args.h"
 #include "scene/synthetic.h"
 #include "scene/trajectory.h"
 #include "serve/server.h"
@@ -28,13 +31,16 @@ using namespace neo::serve;
 int
 main(int argc, char **argv)
 {
+    constexpr const char *kUsage =
+        "usage: multi_session_server [--threads N]\n";
+    const examples::ArgParser args{"multi_session_server", kUsage};
     int threads = 0;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-            threads = std::atoi(argv[++i]);
+            threads = static_cast<int>(
+                args.integer("--threads", argv[++i], -1, kMaxThreads));
         } else {
-            std::fprintf(stderr,
-                         "usage: multi_session_server [--threads N]\n");
+            std::fprintf(stderr, "%s", kUsage);
             return 2;
         }
     }
@@ -53,6 +59,8 @@ main(int argc, char **argv)
     ServerConfig cfg = serverConfigFromEnv();
     cfg.max_sessions = 3;
     cfg.pipeline.threads = threads;
+    // Integrity fences on, so the injected bit flip below is caught.
+    cfg.pipeline.integrity = IntegrityMode::Check;
     // Small ladder so the demo's quarantine recovers within a few frames.
     cfg.quarantine_max_failures = 3;
     cfg.backoff_base = 1;
@@ -95,15 +103,17 @@ main(int argc, char **argv)
                 a.session_id, b.session_id, c.session_id,
                 full.admitted ? "admitted?!" : full.reason);
 
-    // Wedge session A's sort stage for two frames mid-run: the watchdog
-    // trips, A is quarantined and rebuilt; B and C never notice.
+    // Flip one bit of session A's binned tiles mid-run: the binning
+    // fence catches it, A is quarantined and rebuilt cold; B and C never
+    // notice (the flip is pinned to A's fault domain).
     Session *sa = server.session(a.session_id);
     Session *sb = server.session(b.session_id);
     Session *sc = server.session(c.session_id);
 
     for (int f = 0; f < 24; ++f) {
         if (f == 12)
-            sa->injectStall(StageWatchdog::Sort, 250.0, 2);
+            faultinject::armBitFlip(kIntegrityBinTiles, -1, 12,
+                                    static_cast<int64_t>(sa->id()));
         // Overload: three submissions per pump into bounded queues.
         for (int burst = 0; burst < 3; ++burst) {
             sa->submit(static_cast<uint64_t>(f));
@@ -122,12 +132,12 @@ main(int argc, char **argv)
     const SessionStats sbs = sb->stats();
     const SessionStats scs = sc->stats();
     std::printf("\nsession a: %llu rendered, %llu coalesced, %llu "
-                "degraded frames, %llu trips, %llu quarantines, %llu "
+                "degraded frames, %llu faults, %llu quarantines, %llu "
                 "recoveries\n",
                 static_cast<unsigned long long>(sas.rendered),
                 static_cast<unsigned long long>(sas.coalesced),
                 static_cast<unsigned long long>(sas.degraded_frames),
-                static_cast<unsigned long long>(sas.watchdog_trips),
+                static_cast<unsigned long long>(sas.faults),
                 static_cast<unsigned long long>(sas.quarantines),
                 static_cast<unsigned long long>(sas.recoveries));
     std::printf("session b: %llu rendered, %llu dropped-oldest, "
@@ -141,8 +151,9 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(scs.rejected));
 
     const bool ok = sa->state() == SessionState::Healthy &&
-                    sas.recoveries >= 1 && sbs.degraded_frames == 0;
-    std::printf("\n%s\n", ok ? "demo OK: stall contained to session a"
+                    sas.faults > 0 && sas.recoveries >= 1 &&
+                    sbs.degraded_frames == 0;
+    std::printf("\n%s\n", ok ? "demo OK: fault contained to session a"
                              : "demo FAILED");
     return ok ? 0 : 1;
 }

@@ -26,13 +26,12 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 
-#include "common/env.h"
 #include "common/parallel.h"
 #include "core/neo_renderer.h"
+#include "example_args.h"
 #include "scene/synthetic.h"
 #include "scene/trajectory.h"
 #include "serve/net/frontend.h"
@@ -47,21 +46,6 @@ namespace
 constexpr const char *kUsage = "usage: neo_serve_net [--threads N] "
                                "[--port P] [--print-solo N] "
                                "[--state-dir PATH]\n";
-
-/** Full-string integer in [@p lo, @p hi] for @p flag, or usage + exit 2. */
-long
-parseArg(const char *flag, const char *text, long lo, long hi)
-{
-    long v = 0;
-    if (!env::parseLong(text, &v) || v < lo || v > hi) {
-        std::fprintf(stderr,
-                     "neo_serve_net: %s '%s' is not an integer in "
-                     "[%ld, %ld]\n%s",
-                     flag, text, lo, hi, kUsage);
-        std::exit(2);
-    }
-    return v;
-}
 
 /** The scene/trajectory contract shared with neo_serve_net_client: the
     client opens an orbit at speed 1.0 and 256x192, which is exactly
@@ -87,6 +71,7 @@ main(int argc, char **argv)
     int port = -1;
     int print_solo = 0;
     const char *state_dir = nullptr;
+    const examples::ArgParser args{"neo_serve_net", kUsage};
     for (int i = 1; i < argc; ++i) {
         const char *flag = argv[i];
         if (i + 1 >= argc) {
@@ -95,11 +80,13 @@ main(int argc, char **argv)
         }
         const char *value = argv[++i];
         if (std::strcmp(flag, "--threads") == 0) {
-            threads = static_cast<int>(parseArg(flag, value, -1, kMaxThreads));
+            threads =
+                static_cast<int>(args.integer(flag, value, -1, kMaxThreads));
         } else if (std::strcmp(flag, "--port") == 0) {
-            port = static_cast<int>(parseArg(flag, value, 0, 65535));
+            port = static_cast<int>(args.integer(flag, value, 0, 65535));
         } else if (std::strcmp(flag, "--print-solo") == 0) {
-            print_solo = static_cast<int>(parseArg(flag, value, 0, 1L << 20));
+            print_solo =
+                static_cast<int>(args.integer(flag, value, 0, 1L << 20));
         } else if (std::strcmp(flag, "--state-dir") == 0) {
             state_dir = value;
         } else {

@@ -25,10 +25,9 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
-#include "common/env.h"
+#include "example_args.h"
 #include "serve/net/client.h"
 
 using namespace neo::serve::net;
@@ -39,21 +38,6 @@ namespace
 constexpr const char *kUsage =
     "usage: neo_serve_net_client --port P [--frames N] [--shutdown] "
     "[--resume ID] [--start-frame F] [--abandon]\n";
-
-/** Full-string integer in [@p lo, @p hi] for @p flag, or usage + exit 2. */
-long
-parseArg(const char *flag, const char *text, long lo, long hi)
-{
-    long v = 0;
-    if (!neo::env::parseLong(text, &v) || v < lo || v > hi) {
-        std::fprintf(stderr,
-                     "neo_serve_net_client: %s '%s' is not an integer in "
-                     "[%ld, %ld]\n%s",
-                     flag, text, lo, hi, kUsage);
-        std::exit(2);
-    }
-    return v;
-}
 
 } // namespace
 
@@ -66,6 +50,7 @@ main(int argc, char **argv)
     long resume_id = -1;
     bool shutdown = false;
     bool abandon = false;
+    const neo::examples::ArgParser args{"neo_serve_net_client", kUsage};
     for (int i = 1; i < argc; ++i) {
         const char *flag = argv[i];
         if (std::strcmp(flag, "--shutdown") == 0) {
@@ -82,14 +67,14 @@ main(int argc, char **argv)
         }
         const char *value = argv[++i];
         if (std::strcmp(flag, "--port") == 0) {
-            port = static_cast<int>(parseArg(flag, value, 1, 65535));
+            port = static_cast<int>(args.integer(flag, value, 1, 65535));
         } else if (std::strcmp(flag, "--frames") == 0) {
-            frames = static_cast<int>(parseArg(flag, value, 1, 1L << 20));
+            frames = static_cast<int>(args.integer(flag, value, 1, 1L << 20));
         } else if (std::strcmp(flag, "--start-frame") == 0) {
             start_frame =
-                static_cast<int>(parseArg(flag, value, 0, 1L << 30));
+                static_cast<int>(args.integer(flag, value, 0, 1L << 30));
         } else if (std::strcmp(flag, "--resume") == 0) {
-            resume_id = parseArg(flag, value, 0, UINT32_MAX);
+            resume_id = args.integer(flag, value, 0, UINT32_MAX);
         } else {
             std::fprintf(stderr, "%s", kUsage);
             return 2;

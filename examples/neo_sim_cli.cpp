@@ -11,16 +11,19 @@
  * the three modeled systems (orin | gscore | neo). --threads N drives the
  * functional workload extraction on a cache miss (0 = NEO_THREADS env,
  * -1 = all cores); extracted workloads are bit-identical for any value.
+ *
+ * Numeric flags must be whole numbers in range (--frames 1..100000,
+ * --speed (0, 64], --bandwidth (0, 1e6] GB/s, --scale (0, 4],
+ * --threads -1..256); anything else prints the usage line and exits 2.
  */
 
 #include <cstddef>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "common/logging.h"
 #include "common/parallel.h"
+#include "example_args.h"
 #include "sim/gpu_model.h"
 #include "sim/gscore_model.h"
 #include "sim/neo_model.h"
@@ -31,6 +34,11 @@ using namespace neo;
 
 namespace
 {
+
+constexpr const char *kUsage =
+    "usage: neo_sim_cli [--scene NAME] [--system orin|gscore|neo] "
+    "[--res hd|fhd|qhd] [--frames N] [--speed X] [--bandwidth GBPS] "
+    "[--scale X] [--threads N]\n";
 
 struct Args
 {
@@ -60,6 +68,7 @@ Args
 parse(int argc, char **argv)
 {
     Args a;
+    const examples::ArgParser num{"neo_sim_cli", kUsage};
     for (int i = 1; i + 1 < argc; i += 2) {
         std::string k = argv[i];
         const char *v = argv[i + 1];
@@ -70,15 +79,16 @@ parse(int argc, char **argv)
         else if (k == "--res")
             a.res = v;
         else if (k == "--frames")
-            a.frames = std::atoi(v);
+            a.frames = static_cast<int>(num.integer("--frames", v, 1, 100000));
         else if (k == "--speed")
-            a.speed = static_cast<float>(std::atof(v));
+            a.speed = static_cast<float>(num.real("--speed", v, 1e-9, 64.0));
         else if (k == "--bandwidth")
-            a.bandwidth = std::atof(v);
+            a.bandwidth = num.real("--bandwidth", v, 1e-9, 1e6);
         else if (k == "--scale")
-            a.scale = std::atof(v);
+            a.scale = num.real("--scale", v, 1e-9, 4.0);
         else if (k == "--threads")
-            a.threads = std::atoi(v);
+            a.threads =
+                static_cast<int>(num.integer("--threads", v, -1, kMaxThreads));
         else
             fatal("unknown flag '%s'", k.c_str());
     }

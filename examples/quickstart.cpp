@@ -10,34 +10,42 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/parallel.h"
 #include "core/neo_renderer.h"
+#include "example_args.h"
 #include "scene/synthetic.h"
 #include "scene/trajectory.h"
 
 using namespace neo;
+
+namespace
+{
+
+constexpr const char *kUsage =
+    "usage: quickstart [output.ppm] [--threads N]\n";
+
+} // namespace
 
 int
 main(int argc, char **argv)
 {
     const char *out_path = "quickstart.ppm";
     int threads = 0;
+    const examples::ArgParser args{"quickstart", kUsage};
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--threads") == 0) {
             if (i + 1 >= argc) {
                 std::fprintf(stderr,
-                             "error: --threads needs a value\n");
+                             "error: --threads needs a value\n%s", kUsage);
                 return 2;
             }
-            threads = std::atoi(argv[++i]);
+            threads = static_cast<int>(
+                args.integer("--threads", argv[++i], -1, kMaxThreads));
         } else if (argv[i][0] == '-') {
-            std::fprintf(stderr,
-                         "error: unknown flag '%s' (usage: quickstart "
-                         "[output.ppm] [--threads N])\n",
-                         argv[i]);
+            std::fprintf(stderr, "error: unknown flag '%s'\n%s", argv[i],
+                         kUsage);
             return 2;
         } else {
             out_path = argv[i];

@@ -12,9 +12,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "example_args.h"
 #include "sim/gpu_model.h"
 #include "sim/gscore_model.h"
 #include "sim/neo_model.h"
@@ -42,7 +42,12 @@ int
 main(int argc, char **argv)
 {
     std::string scene = argc > 1 ? argv[1] : "Playground";
-    double scale = argc > 2 ? std::atof(argv[2]) : 0.25;
+    const examples::ArgParser args{
+        "vr_headset_sim", "usage: vr_headset_sim [scene] [scale]\n"};
+    // Scale multiplies the Gaussian count: strictly positive, and no
+    // larger than NEO_SCENE_SCALE allows.
+    double scale =
+        argc > 2 ? args.real("scale", argv[2], 1e-9, 4.0) : 0.25;
     const int frames = 6;
 
     std::printf("VR headset sizing: scene %s (scale %.2f), per-eye "

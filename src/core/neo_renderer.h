@@ -121,7 +121,7 @@ class NeoRenderer
      * tracker (0 on the Direct path), sort_ms the sort plus the sorting
      * fence, raster_ms rasterization plus any recover-mode re-render or
      * attest cross-render. This is what the serving layer's budget
-     * controller and stage watchdogs consume.
+     * controller consumes.
      */
     void renderFrameInto(Image &out, const GaussianScene &scene,
                          const Camera &camera, uint64_t frame_index,

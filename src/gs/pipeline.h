@@ -82,8 +82,8 @@ struct FrameWorkload
  * binning scatter, delta tracking, sort (the reuse-and-update sorter or
  * the direct per-tile sort), and rasterization. Produced per frame by
  * NeoRenderer::renderFrameInto when given a sink; consumed by the
- * serving layer's budget controller (totalMs) and stage watchdogs, and
- * averaged by the staged thread sweep (sim/perf_harness.h).
+ * serving layer's budget controller (totalMs) and averaged by the
+ * staged thread sweep (sim/perf_harness.h).
  */
 struct StageTimings
 {

@@ -186,7 +186,6 @@ writeOutcome(ByteWriter &w, const FrameOutcome &o)
     w.boolean(o.direct_path);
     w.boolean(o.deadline_missed);
     w.u32(o.faults);
-    w.i32(o.watchdog_stage);
     w.u8(static_cast<uint8_t>(o.state));
     w.u32(o.rebuilds);
 }
@@ -202,12 +201,10 @@ readOutcome(ByteReader &r, FrameOutcome *out)
     const uint8_t direct_path = r.u8();
     const uint8_t deadline_missed = r.u8();
     o.faults = r.u32();
-    o.watchdog_stage = r.i32();
     const uint8_t state = r.u8();
     o.rebuilds = r.u32();
     if (!r.ok() || rendered > 1 || direct_path > 1 ||
-        deadline_missed > 1 || state > 2 || o.watchdog_stage < -1 ||
-        o.watchdog_stage >= StageWatchdog::kStageCount)
+        deadline_missed > 1 || state > 2)
         return false;
     o.rendered = rendered != 0;
     o.direct_path = direct_path != 0;

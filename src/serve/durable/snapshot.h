@@ -12,7 +12,7 @@
  *
  *   offset  size  field
  *   0       4     magic         "NEOS" (0x534F454E as a LE u32)
- *   4       4     version       kSnapshotVersion (3)
+ *   4       4     version       kSnapshotVersion (4)
  *   8       4     section count
  *   12      ...   sections
  *   end-8   8     Digest64 over every preceding byte
@@ -58,11 +58,12 @@ namespace neo::serve::durable
 
 /** "NEOS" read little-endian. */
 inline constexpr uint32_t kSnapshotMagic = 0x534F454Eu;
-/** Version 3: the persisted `last_outcome.frame_hash` is the Digest64
-    frame hash (Image::contentHash). A version 2 file carries the older
-    FNV-1a value; loading it would answer a retried frame with a hash no
-    fresh render reproduces, so it is refused. */
-inline constexpr uint32_t kSnapshotVersion = 3;
+/** Version 4: a Session section no longer carries the removed stage
+    watchdog's fields, so a version 3 section would misparse. A version
+    2 file also carries the older FNV-1a `last_outcome.frame_hash`,
+    which would answer a retried frame with a hash no fresh render
+    reproduces. Older versions are refused. */
+inline constexpr uint32_t kSnapshotVersion = 4;
 /** Fixed prefix: magic + version + section count. */
 inline constexpr size_t kSnapshotHeaderSize = 12;
 /** Per-section prefix: type + length + crc32. */

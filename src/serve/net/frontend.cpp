@@ -312,8 +312,6 @@ NetFrontend::routeFrame(Conn &c, const DecodedFrame &frame)
             reply.resolution_drop =
                 static_cast<uint8_t>(outcome.resolution_drop);
             reply.state = static_cast<uint8_t>(outcome.state);
-            reply.watchdog_stage =
-                static_cast<int8_t>(outcome.watchdog_stage);
             reply.faults = outcome.faults;
             reply.rebuilds = outcome.rebuilds;
         }

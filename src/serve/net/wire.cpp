@@ -168,7 +168,6 @@ encodeSubmitReply(std::vector<uint8_t> &out, const SubmitReply &m)
         w.u64(m.frame_hash);
         w.u8(m.resolution_drop);
         w.u8(m.state);
-        w.i8(m.watchdog_stage);
         w.u32(m.faults);
         w.u32(m.rebuilds);
     });
@@ -280,7 +279,6 @@ decodeSubmitReply(const std::vector<uint8_t> &p, SubmitReply *out)
     m.frame_hash = r.u64();
     m.resolution_drop = r.u8();
     m.state = r.u8();
-    m.watchdog_stage = r.i8();
     m.faults = r.u32();
     m.rebuilds = r.u32();
     if (!r.done())

@@ -8,7 +8,7 @@
  *
  *   offset  size  field
  *   0       4     magic      "NEOW" (0x574F454E as a LE u32)
- *   4       2     version    kWireVersion (1)
+ *   4       2     version    kWireVersion (2)
  *   6       2     type       MsgType
  *   8       4     length     payload byte count, <= the configured cap
  *   12      4     crc32      IEEE CRC-32 over the payload bytes
@@ -41,7 +41,10 @@ namespace neo::serve::net
 
 /** "NEOW" read little-endian ('N' is byte 0 on the wire). */
 inline constexpr uint32_t kWireMagic = 0x574F454Eu;
-inline constexpr uint16_t kWireVersion = 1;
+/** Version 2: SubmitReply and StatsReply no longer carry the removed
+    stage watchdog's fields, so a version 1 peer would misread the
+    fields after them; the decoder refuses it as BadVersion instead. */
+inline constexpr uint16_t kWireVersion = 2;
 inline constexpr size_t kWireHeaderSize = 16;
 /** Hard upper bound on the configurable payload cap. */
 inline constexpr size_t kWireMaxPayload = 1u << 20;
@@ -140,7 +143,6 @@ struct SubmitReply
     uint64_t frame_hash = 0;
     uint8_t resolution_drop = 0;
     uint8_t state = 0; //!< SessionState after the step
-    int8_t watchdog_stage = -1;
     uint32_t faults = 0;
     uint32_t rebuilds = 0;
 };

@@ -85,14 +85,6 @@ serverConfigFromEnv()
         envLong("NEO_SERVER_RESTORE_FRAMES",
                 cfg.default_qos.restore_after, 1, 1024));
 
-    cfg.watchdog_factor =
-        envDouble("NEO_SERVER_WATCHDOG_FACTOR", cfg.watchdog_factor, 1.5,
-                  1000.0);
-
-    cfg.watchdog_floor_ms =
-        envDouble("NEO_SERVER_WATCHDOG_FLOOR_MS", cfg.watchdog_floor_ms,
-                  0.0, 60000.0);
-
     cfg.quarantine_max_failures = static_cast<int>(
         envLong("NEO_SERVER_QUARANTINE_RETRIES",
                 cfg.quarantine_max_failures, 1, 64));

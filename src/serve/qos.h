@@ -89,13 +89,10 @@ struct ServerConfig
     /** Default per-session QoS (overridable per open()). */
     QosTarget default_qos;
 
-    // Stage-watchdog tuning (see watchdog.h): a stage trips when it
-    // exceeds factor x its rolling median AND the absolute floor —
-    // the floor keeps microsecond-scale stages (tiny test scenes) from
-    // tripping on scheduler noise.
-    double watchdog_factor = 8.0;
+    // Read by no code; declared only because the served-path benchmark
+    // (perfbench/bench.cpp) still assigns it. The next change to that
+    // benchmark deletes the assignment and this declaration together.
     double watchdog_floor_ms = 20.0;
-    int watchdog_warmup = 4;
 
     // Quarantine retry ladder: a quarantined session waits
     // min(backoff_cap, backoff_base << (failures - 1)) requests between
@@ -118,8 +115,6 @@ struct ServerConfig
  *   NEO_SERVER_DEADLINE_MS        [0, 60000] (0 = off)
  *   NEO_SERVER_MAX_STALENESS      [0, 65536] (0 = keep all)
  *   NEO_SERVER_RESTORE_FRAMES     [1, 1024]
- *   NEO_SERVER_WATCHDOG_FACTOR    [1.5, 1000]
- *   NEO_SERVER_WATCHDOG_FLOOR_MS  [0, 60000]
  *   NEO_SERVER_QUARANTINE_RETRIES [1, 64]
  *   NEO_SERVER_BACKOFF_CAP        [1, 4096]
  */

@@ -1,8 +1,6 @@
 #include "serve/session.h"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 
 #include "common/faultinject.h"
 #include "serve/durable/durable.h"
@@ -38,7 +36,6 @@ writeStats(ByteWriter &w, const SessionStats &s)
     w.u64(s.deadline_misses);
     w.u64(s.degraded_frames);
     w.u64(s.faults);
-    w.u64(s.watchdog_trips);
     w.u64(s.quarantines);
     w.u64(s.recoveries);
 }
@@ -57,7 +54,6 @@ readStats(ByteReader &r, SessionStats *out)
     out->deadline_misses = r.u64();
     out->degraded_frames = r.u64();
     out->faults = r.u64();
-    out->watchdog_trips = r.u64();
     out->quarantines = r.u64();
     out->recoveries = r.u64();
 }
@@ -75,11 +71,6 @@ Session::Session(uint32_t id, std::shared_ptr<const GaussianScene> scene,
       cfg_(cfg)
 {
     budget_.configure(qos_);
-    StageWatchdog::Config wd;
-    wd.factor = cfg_.watchdog_factor;
-    wd.floor_ms = cfg_.watchdog_floor_ms;
-    wd.warmup = cfg_.watchdog_warmup;
-    watchdog_.configure(wd);
     rebuildRenderer();
 }
 
@@ -182,7 +173,6 @@ Session::rebuildRenderer()
         frame_faults_.fetch_add(1, std::memory_order_relaxed);
     });
     budget_.reset();
-    watchdog_.reset();
     sorter_stale_ = false;
     last_drop_ = 0;
 }
@@ -221,28 +211,12 @@ Session::renderRequest(const Request &req, FrameOutcome &out)
     if (!sorter_stale_)
         last_drop_ = plan.resolution_drop;
 
-    // Artificial stall (test hook): sleep inside the frame and inflate
-    // the stage sample so the watchdog sees the stall it models.
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (stall_frames_ > 0 && stall_stage_ >= 0 &&
-            stall_stage_ < StageWatchdog::kStageCount) {
-            --stall_frames_;
-            std::this_thread::sleep_for(
-                std::chrono::duration<double, std::milli>(stall_ms_));
-            double *slot[StageWatchdog::kStageCount] = {
-                &stages.bin_ms, &stages.sort_ms, &stages.raster_ms};
-            *slot[stall_stage_] += stall_ms_;
-        }
-    }
-
     out.rendered = true;
     out.frame_hash = image_.contentHash();
     out.resolution_drop = plan.resolution_drop;
     out.direct_path = plan.skip_sorter_update;
     out.stages = stages;
     out.faults = frame_faults_.load(std::memory_order_relaxed);
-    out.watchdog_stage = watchdog_.observeFrame(stages);
     const double deadline = qos_.frameDeadlineMs();
     out.deadline_missed = deadline > 0.0 && stages.totalMs() > deadline;
     budget_.record(stages);
@@ -307,13 +281,11 @@ Session::step(FrameOutcome *outcome)
     }
     renderRequest(req, out);
 
-    const bool faulted = out.faults > 0 || out.watchdog_stage >= 0;
+    const bool faulted = out.faults > 0;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.rendered;
         stats_.faults += out.faults;
-        if (out.watchdog_stage >= 0)
-            ++stats_.watchdog_trips;
         if (out.deadline_missed)
             ++stats_.deadline_misses;
         if (out.resolution_drop > 0 || out.direct_path)
@@ -369,15 +341,6 @@ Session::lastOutcome(uint64_t frame_index, FrameOutcome *out) const
         return false;
     *out = *last_outcome_;
     return true;
-}
-
-void
-Session::injectStall(int stage, double ms, int frames)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    stall_stage_ = stage;
-    stall_ms_ = ms;
-    stall_frames_ = frames;
 }
 
 void
@@ -460,8 +423,6 @@ Session::restoreDurable(SessionDurable d)
         // and the next eligible step() rebuilds cold, as it would have.
         renderer_.reset();
     }
-    // watchdog_ stays freshly constructed (warmup): its rolling medians
-    // are wall-clock measurements of the dead process.
 }
 
 } // namespace neo::serve

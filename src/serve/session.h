@@ -2,19 +2,20 @@
  * @file
  * One render session of the multi-session serving layer: a bounded frame
  * queue with an explicit drop policy, a private NeoRenderer built on the
- * server's shared RendererShared, a deadline-driven BudgetController, a
- * StageWatchdog, and the quarantine state machine that contains faults
- * to this session.
+ * server's shared RendererShared, a deadline-driven BudgetController,
+ * and the quarantine state machine that contains faults to this session.
  *
  * Fault-isolation contract: all mutable render state (sorter tables,
  * tracker, binned frame, arena, integrity context, framebuffer) is owned
  * by the session; the only shared pieces — the scene and the stateless
- * rasterizer pair — are const. A fault (integrity FaultReport or
- * watchdog trip) therefore quarantines exactly this session: its
- * renderer is torn down, rebuilt from the shared scene on a capped
- * exponential-backoff ladder (cold-start re-sort), and after M failed
- * recoveries the session turns terminally Degraded. Healthy sibling
- * sessions' frame hashes stay bit-identical to solo runs throughout.
+ * rasterizer pair — are const. An integrity FaultReport therefore
+ * quarantines exactly this session: its renderer is torn down, rebuilt
+ * from the shared scene on a capped exponential-backoff ladder
+ * (cold-start re-sort), and after M failed recoveries the session turns
+ * terminally Degraded. Healthy sibling sessions' frame hashes stay
+ * bit-identical to solo runs throughout. A slow frame is not a fault:
+ * lateness is the BudgetController's to handle, and it keeps the sorter
+ * tables, so no wall-clock reading ever triggers a cold rebuild.
  *
  * Threading: submit()/stats()/state() are thread-safe against a single
  * concurrent driver calling step()/drain(). A session must not be driven
@@ -37,7 +38,6 @@
 #include "core/neo_renderer.h"
 #include "scene/trajectory.h"
 #include "serve/qos.h"
-#include "serve/watchdog.h"
 
 namespace neo::serve
 {
@@ -88,8 +88,6 @@ struct FrameOutcome
     StageTimings stages;
     /** Integrity faults detected during this frame. */
     uint32_t faults = 0;
-    /** Watchdog stage that tripped, -1 if none. */
-    int watchdog_stage = -1;
     /** Session state after the step. */
     SessionState state = SessionState::Healthy;
     /** Quarantine rebuilds performed so far (recovery epoch). */
@@ -110,12 +108,11 @@ struct SessionStats
     uint64_t deadline_misses = 0;
     uint64_t degraded_frames = 0; //!< rendered below native QoS
     uint64_t faults = 0;          //!< integrity faults observed
-    uint64_t watchdog_trips = 0;
     uint64_t quarantines = 0; //!< Healthy -> Quarantined transitions
     uint64_t recoveries = 0;  //!< successful rebuilds back to Healthy
 };
 
-/** The 14 counters as 14 little-endian u64s, in declaration order: the
+/** The 13 counters as 13 little-endian u64s, in declaration order: the
     one layout the wire StatsReply and the snapshot's Session section
     share. */
 void writeStats(ByteWriter &w, const SessionStats &s);
@@ -147,9 +144,6 @@ struct SessionOpenParams
  * run: the persistent tile tables plus the delta tracker's reference
  * membership are the renderer's entire cross-frame state, and
  * everything else here is the session-layer state machine around it.
- * The stage watchdog is deliberately not captured — its samples are
- * wall-clock measurements of a dead process, meaningless after restart;
- * it restarts in warmup.
  */
 struct SessionDurable
 {
@@ -233,14 +227,6 @@ class Session
     const Image &lastImage() const { return image_; }
 
     /**
-     * Test hook: for the next @p frames rendered frames, sleep @p ms
-     * inside stage @p stage (StageWatchdog::Stage) and inflate that
-     * stage's measured time accordingly — a deterministic way to model
-     * a wedged stage for watchdog/quarantine tests.
-     */
-    void injectStall(int stage, double ms, int frames);
-
-    /**
      * Attach the durability manager (nullptr detaches): every accepted
      * submit() is journaled through it before the call returns, except
      * while the manager is replaying that very journal.
@@ -293,7 +279,6 @@ class Session
     // Driver-thread-only state (single-driver contract).
     std::unique_ptr<NeoRenderer> renderer_;
     BudgetController budget_;
-    StageWatchdog watchdog_;
     Image image_;
     /** Set when a direct-path frame left the sorter tables stale; the
         next reuse-path frame resets the renderer first (full re-sort). */
@@ -307,11 +292,6 @@ class Session
     int quarantine_failures_ = 0; //!< failed recovery attempts
     int backoff_remaining_ = 0;   //!< requests to burn before retrying
     uint32_t rebuilds_ = 0;
-
-    // Stall injection (test hook).
-    int stall_stage_ = -1;
-    double stall_ms_ = 0.0;
-    int stall_frames_ = 0;
 
     /** Journal sink for accepted submissions (not owned; may be null). */
     durable::DurabilityManager *durability_ = nullptr;

@@ -57,7 +57,7 @@ sharedScene()
 }
 
 /** Hermetic config matching test_server.cpp: integrity off, no
-    deadline, watchdog floor far above any contention spike. */
+    deadline. */
 ServerConfig
 baseConfig(int threads = 1)
 {
@@ -65,7 +65,6 @@ baseConfig(int threads = 1)
     cfg.pipeline = NeoRenderer::neoDefaultOptions();
     cfg.pipeline.threads = threads;
     cfg.pipeline.integrity = IntegrityMode::Off;
-    cfg.watchdog_floor_ms = 250.0 * neo::test::sanitizerTimeScale();
     return cfg;
 }
 
@@ -164,7 +163,6 @@ sampleSnapshot()
     a.last_outcome.resolution_drop = 1;
     a.last_outcome.deadline_missed = true;
     a.last_outcome.faults = 2;
-    a.last_outcome.watchdog_stage = 1;
     a.last_outcome.state = SessionState::Quarantined;
     a.last_outcome.rebuilds = 2;
     a.has_renderer = 1;
@@ -228,7 +226,6 @@ TEST(SnapshotCodecTest, RoundTripsEveryField)
     EXPECT_FALSE(a.last_outcome.direct_path);
     EXPECT_TRUE(a.last_outcome.deadline_missed);
     EXPECT_EQ(a.last_outcome.faults, 2u);
-    EXPECT_EQ(a.last_outcome.watchdog_stage, 1);
     EXPECT_EQ(a.last_outcome.state, SessionState::Quarantined);
     EXPECT_EQ(a.last_outcome.rebuilds, 2u);
     ASSERT_EQ(a.tables.size(), 3u);
@@ -265,12 +262,12 @@ TEST(SnapshotFormatPinTest, SampleImageIsUnchanged)
     // A round trip cannot see a layout change made alike in the encoder
     // and the decoder; the image's size, CRC-32 and trailer can.
     const std::vector<uint8_t> bytes = encodeSnapshot(sampleSnapshot());
-    ASSERT_EQ(bytes.size(), 769u);
-    EXPECT_EQ(crc32(bytes.data(), bytes.size()), 0x8aeac073u);
+    ASSERT_EQ(bytes.size(), 745u);
+    EXPECT_EQ(crc32(bytes.data(), bytes.size()), 0xe129a548u);
     EXPECT_EQ(neo::test::hexBytes(bytes.data() + bytes.size() -
                                       kSnapshotTrailerSize,
                                   kSnapshotTrailerSize),
-              "80a106149713167c");
+              "35cf542cd8f6dff5");
 }
 
 // --- Torn-file taxonomy ------------------------------------------------

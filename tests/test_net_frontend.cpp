@@ -53,7 +53,6 @@ baseConfig(int threads = 1)
     cfg.pipeline = NeoRenderer::neoDefaultOptions();
     cfg.pipeline.threads = threads;
     cfg.pipeline.integrity = IntegrityMode::Off;
-    cfg.watchdog_floor_ms = 250.0 * sanitizerTimeScale();
     return cfg;
 }
 

@@ -2,8 +2,8 @@
  * @file
  * Unit tests of the serving layer's policy pieces: drop-policy parsing,
  * QoS deadline derivation, the NEO_SERVER_* environment knobs (validated
- * full-string parses), the deadline-driven BudgetController severity
- * ladder, and the rolling-median StageWatchdog.
+ * full-string parses), and the deadline-driven BudgetController
+ * severity ladder.
  */
 
 #include <algorithm>
@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include "serve/qos.h"
-#include "serve/watchdog.h"
 
 namespace neo::serve::test
 {
@@ -82,10 +81,9 @@ class ServerEnvTest : public ::testing::Test
     }
 
     static constexpr const char *kKnobs[] = {
-        "NEO_SERVER_MAX_SESSIONS",     "NEO_SERVER_QUEUE_CAP",
-        "NEO_SERVER_DROP_POLICY",      "NEO_SERVER_DEADLINE_MS",
-        "NEO_SERVER_MAX_STALENESS",    "NEO_SERVER_RESTORE_FRAMES",
-        "NEO_SERVER_WATCHDOG_FACTOR",  "NEO_SERVER_WATCHDOG_FLOOR_MS",
+        "NEO_SERVER_MAX_SESSIONS",       "NEO_SERVER_QUEUE_CAP",
+        "NEO_SERVER_DROP_POLICY",        "NEO_SERVER_DEADLINE_MS",
+        "NEO_SERVER_MAX_STALENESS",      "NEO_SERVER_RESTORE_FRAMES",
         "NEO_SERVER_QUARANTINE_RETRIES", "NEO_SERVER_BACKOFF_CAP"};
 
     std::vector<std::pair<const char *, std::string>> saved_;
@@ -111,8 +109,6 @@ TEST_F(ServerEnvTest, ValidValuesApply)
     setenv("NEO_SERVER_DEADLINE_MS", "16.6", 1);
     setenv("NEO_SERVER_MAX_STALENESS", "5", 1);
     setenv("NEO_SERVER_RESTORE_FRAMES", "7", 1);
-    setenv("NEO_SERVER_WATCHDOG_FACTOR", "4.0", 1);
-    setenv("NEO_SERVER_WATCHDOG_FLOOR_MS", "2.5", 1);
     setenv("NEO_SERVER_QUARANTINE_RETRIES", "5", 1);
     setenv("NEO_SERVER_BACKOFF_CAP", "32", 1);
 
@@ -123,8 +119,6 @@ TEST_F(ServerEnvTest, ValidValuesApply)
     EXPECT_DOUBLE_EQ(cfg.default_qos.deadline_ms, 16.6);
     EXPECT_EQ(cfg.default_qos.max_staleness, 5);
     EXPECT_EQ(cfg.default_qos.restore_after, 7);
-    EXPECT_DOUBLE_EQ(cfg.watchdog_factor, 4.0);
-    EXPECT_DOUBLE_EQ(cfg.watchdog_floor_ms, 2.5);
     EXPECT_EQ(cfg.quarantine_max_failures, 5);
     EXPECT_EQ(cfg.backoff_cap, 32);
 }
@@ -138,7 +132,6 @@ TEST_F(ServerEnvTest, MalformedOrOutOfRangeValuesKeepDefaults)
     setenv("NEO_SERVER_QUEUE_CAP", "0", 1); // below range
     setenv("NEO_SERVER_DROP_POLICY", "newest-wins", 1);
     setenv("NEO_SERVER_DEADLINE_MS", "fast", 1);
-    setenv("NEO_SERVER_WATCHDOG_FACTOR", "1.0", 1); // below range
     setenv("NEO_SERVER_QUARANTINE_RETRIES", "-1", 1);
 
     const ServerConfig cfg = serverConfigFromEnv();
@@ -147,7 +140,6 @@ TEST_F(ServerEnvTest, MalformedOrOutOfRangeValuesKeepDefaults)
               ref.default_qos.queue_capacity);
     EXPECT_EQ(cfg.default_qos.drop_policy, ref.default_qos.drop_policy);
     EXPECT_EQ(cfg.default_qos.deadline_ms, ref.default_qos.deadline_ms);
-    EXPECT_DOUBLE_EQ(cfg.watchdog_factor, ref.watchdog_factor);
     EXPECT_EQ(cfg.quarantine_max_failures, ref.quarantine_max_failures);
 }
 
@@ -254,117 +246,6 @@ TEST(BudgetControllerTest, ResetClearsSeverityAndPrediction)
     ctl.reset();
     EXPECT_EQ(ctl.severity(), 0);
     EXPECT_EQ(ctl.predictedMs(), 0.0);
-}
-
-// --- StageWatchdog -----------------------------------------------------
-
-StageWatchdog::Config
-wdConfig(double factor = 4.0, double floor_ms = 1.0, int warmup = 3)
-{
-    StageWatchdog::Config c;
-    c.factor = factor;
-    c.floor_ms = floor_ms;
-    c.warmup = warmup;
-    return c;
-}
-
-TEST(StageWatchdogTest, NoTripDuringWarmup)
-{
-    StageWatchdog wd;
-    wd.configure(wdConfig());
-    // The very first samples are wild, but the tripwire is not armed.
-    EXPECT_FALSE(wd.observe(StageWatchdog::Bin, 1000.0));
-    EXPECT_FALSE(wd.observe(StageWatchdog::Bin, 0.001));
-    EXPECT_EQ(wd.trips(), 0u);
-}
-
-TEST(StageWatchdogTest, TripsOnFactorTimesMedianAboveFloor)
-{
-    StageWatchdog wd;
-    wd.configure(wdConfig(/*factor=*/4.0, /*floor_ms=*/1.0,
-                          /*warmup=*/3));
-    for (int i = 0; i < 4; ++i)
-        EXPECT_FALSE(wd.observe(StageWatchdog::Sort, 2.0));
-    EXPECT_FALSE(wd.observe(StageWatchdog::Sort, 7.9)) << "below 4x";
-    EXPECT_TRUE(wd.observe(StageWatchdog::Sort, 8.1)) << "above 4x";
-    EXPECT_EQ(wd.trips(), 1u);
-}
-
-TEST(StageWatchdogTest, FloorSuppressesMicrosecondNoise)
-{
-    StageWatchdog wd;
-    wd.configure(wdConfig(/*factor=*/4.0, /*floor_ms=*/20.0,
-                          /*warmup=*/3));
-    // Median 0.01 ms: a 100x outlier is still under the floor.
-    for (int i = 0; i < 4; ++i)
-        wd.observe(StageWatchdog::Raster, 0.01);
-    EXPECT_FALSE(wd.observe(StageWatchdog::Raster, 1.0));
-    EXPECT_TRUE(wd.observe(StageWatchdog::Raster, 25.0));
-}
-
-TEST(StageWatchdogTest, TrippedSamplesStayOutOfTheMedian)
-{
-    StageWatchdog wd;
-    wd.configure(wdConfig(/*factor=*/4.0, /*floor_ms=*/1.0,
-                          /*warmup=*/3));
-    for (int i = 0; i < 4; ++i)
-        wd.observe(StageWatchdog::Bin, 2.0);
-    const double median_before = wd.rollingMedian(StageWatchdog::Bin);
-    // A repeatedly stalling stage must keep tripping: if tripped samples
-    // entered the history, the median would drift up until stalls look
-    // normal.
-    for (int i = 0; i < 10; ++i)
-        EXPECT_TRUE(wd.observe(StageWatchdog::Bin, 50.0)) << i;
-    EXPECT_EQ(wd.rollingMedian(StageWatchdog::Bin), median_before);
-    EXPECT_EQ(wd.trips(), 10u);
-}
-
-TEST(StageWatchdogTest, ObserveFrameFeedsAllStagesAndReportsFirstTrip)
-{
-    StageWatchdog wd;
-    wd.configure(wdConfig(/*factor=*/4.0, /*floor_ms=*/1.0,
-                          /*warmup=*/2));
-    StageTimings normal;
-    normal.bin_ms = 2.0;
-    normal.sort_ms = 3.0;
-    normal.raster_ms = 4.0;
-    for (int i = 0; i < 3; ++i)
-        EXPECT_EQ(wd.observeFrame(normal), -1);
-
-    StageTimings stalled = normal;
-    stalled.sort_ms = 100.0;
-    EXPECT_EQ(wd.observeFrame(stalled), StageWatchdog::Sort);
-    // The other stages' histories stayed warm through the stalled frame.
-    EXPECT_GT(wd.rollingMedian(StageWatchdog::Bin), 0.0);
-    EXPECT_GT(wd.rollingMedian(StageWatchdog::Raster), 0.0);
-
-    // The delta tracker is the reuse sorter's first half: a stall only
-    // in tracker_ms trips the Sort stage.
-    StageTimings tracker_stalled = normal;
-    tracker_stalled.tracker_ms = 100.0;
-    EXPECT_EQ(wd.observeFrame(tracker_stalled), StageWatchdog::Sort);
-}
-
-TEST(StageWatchdogTest, ResetDropsHistoryAndRearmsWarmup)
-{
-    StageWatchdog wd;
-    wd.configure(wdConfig(/*factor=*/4.0, /*floor_ms=*/1.0,
-                          /*warmup=*/2));
-    for (int i = 0; i < 3; ++i)
-        wd.observe(StageWatchdog::Bin, 2.0);
-    wd.reset();
-    EXPECT_EQ(wd.rollingMedian(StageWatchdog::Bin), 0.0);
-    EXPECT_FALSE(wd.observe(StageWatchdog::Bin, 1000.0))
-        << "warmup re-arms after reset";
-}
-
-TEST(StageWatchdogTest, StageNames)
-{
-    EXPECT_STREQ(StageWatchdog::stageName(StageWatchdog::Bin), "bin");
-    EXPECT_STREQ(StageWatchdog::stageName(StageWatchdog::Sort), "sort");
-    EXPECT_STREQ(StageWatchdog::stageName(StageWatchdog::Raster),
-                 "raster");
-    EXPECT_STREQ(StageWatchdog::stageName(7), "unknown");
 }
 
 } // namespace

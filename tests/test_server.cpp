@@ -2,8 +2,8 @@
  * @file
  * Multi-session serving layer tests: admission control, the three queue
  * drop policies, staleness shedding, deadline-driven degradation (with
- * the bit-exactness contract of the direct path), watchdog-tripped
- * quarantine and recovery, the terminal Degraded ladder, attest-mode
+ * the bit-exactness contract of the direct path), fault-triggered
+ * quarantine and cold recovery, the terminal Degraded ladder, attest-mode
  * faults flowing through quarantine, and the fault-isolation contract —
  * healthy sessions' frame hashes bit-identical to solo runs at thread
  * counts {1, 2, 8} while a sibling faults.
@@ -39,10 +39,7 @@ sharedScene()
     return scene;
 }
 
-/** Hermetic server config: integrity off, env-independent defaults, and
-    a watchdog floor high enough that scheduler-contention spikes (the
-    suite runs under a parallel ctest) can never trip it spuriously —
-    tests that want trips inject stalls far above it. */
+/** Hermetic server config: integrity off, env-independent defaults. */
 ServerConfig
 baseConfig(int threads = 1)
 {
@@ -50,7 +47,6 @@ baseConfig(int threads = 1)
     cfg.pipeline = NeoRenderer::neoDefaultOptions();
     cfg.pipeline.threads = threads;
     cfg.pipeline.integrity = IntegrityMode::Off;
-    cfg.watchdog_floor_ms = 250.0 * neo::test::sanitizerTimeScale();
     return cfg;
 }
 
@@ -307,18 +303,17 @@ TEST(SessionDegradationTest, DegradedFramesStayBitExactForTheirTier)
     }
 }
 
-// --- Watchdog-tripped quarantine and recovery --------------------------
+// --- Fault-triggered quarantine and cold recovery ----------------------
 
-TEST(SessionQuarantineTest, StallTripsWatchdogQuarantinesAndRecovers)
+TEST(SessionQuarantineTest, FaultQuarantinesAndRecoversCold)
 {
     ServerConfig cfg = baseConfig();
-    cfg.watchdog_warmup = 2;
-    cfg.watchdog_floor_ms = 100.0 * neo::test::sanitizerTimeScale();
+    cfg.pipeline.integrity = IntegrityMode::Check;
     cfg.backoff_base = 1;
     NeoServer server(sharedScene(), cfg);
     Session *s = server.session(server.open(orbitAt(), smallRes()).session_id);
 
-    // Warm the watchdog history with healthy frames.
+    // Warm the reuse sorter with healthy frames.
     FrameOutcome o;
     for (uint64_t f = 0; f < 4; ++f) {
         s->submit(f);
@@ -326,14 +321,14 @@ TEST(SessionQuarantineTest, StallTripsWatchdogQuarantinesAndRecovers)
         EXPECT_EQ(o.state, SessionState::Healthy);
     }
 
-    // One wedged sort stage: trip -> quarantine.
-    s->injectStall(StageWatchdog::Sort,
-                   400.0 * neo::test::sanitizerTimeScale(), 1);
+    // One corrupted bin-tile fence in this session's domain -> quarantine.
+    faultinject::armBitFlip(kIntegrityBinTiles, -1, 7,
+                            static_cast<int64_t>(s->id()));
     s->submit(4);
     ASSERT_TRUE(s->step(&o));
-    EXPECT_EQ(o.watchdog_stage, StageWatchdog::Sort);
+    EXPECT_GT(o.faults, 0u);
     EXPECT_EQ(o.state, SessionState::Quarantined);
-    EXPECT_EQ(s->stats().watchdog_trips, 1u);
+    EXPECT_EQ(s->stats().faults, o.faults);
     EXPECT_EQ(s->stats().quarantines, 1u);
 
     // backoff_base=1: the next request burns the ladder step...
@@ -360,6 +355,7 @@ TEST(SessionQuarantineTest, StallTripsWatchdogQuarantinesAndRecovers)
     ASSERT_TRUE(s->step(&o));
     EXPECT_TRUE(o.rendered);
     EXPECT_EQ(o.state, SessionState::Healthy);
+    faultinject::disarm();
 }
 
 TEST(SessionQuarantineTest, PersistentFaultClimbsLadderToDegraded)

@@ -3,11 +3,11 @@
  * Randomized multi-session soak: K sessions served concurrently from
  * persistent driver threads while one victim session takes shuffled
  * per-frame fault injection (bit flips across every control-thread fence
- * point, attest-frame corruption, and stage stalls). The contract under
- * test is the serving layer's strongest claim: the healthy sessions'
- * delivered frame hashes are bit-identical to solo single-session runs
- * for every frame at every thread count, and the victim converges back
- * to Healthy once the fault source stops.
+ * point, including attest-frame corruption). The contract under test is
+ * the serving layer's strongest claim: the healthy sessions' delivered
+ * frame hashes are bit-identical to solo single-session runs for every
+ * frame at every thread count, and the victim converges back to Healthy
+ * once the fault source stops.
  *
  * Runs under both the `server` and `integrity` ctest labels.
  */
@@ -71,13 +71,6 @@ TEST(ServerSoakTest, HealthySessionsSurviveARandomlyFaultingSibling)
         // The ladder must never turn terminal in this test: the victim
         // has to keep attempting recovery so it can converge at the end.
         cfg.quarantine_max_failures = 64;
-        cfg.watchdog_warmup = 2;
-        // The floor must clear scheduler-contention spikes (three driver
-        // threads, parallel ctest load): healthy stages on this tiny
-        // scene are sub-millisecond, so only the victim's injected
-        // stalls may trip. Both sides scale together under sanitizer
-        // instrumentation, which dilates healthy stage times 10x+.
-        cfg.watchdog_floor_ms = 150.0 * neo::test::sanitizerTimeScale();
         NeoServer server(scene, cfg);
 
         std::vector<Session *> sessions;
@@ -118,10 +111,6 @@ TEST(ServerSoakTest, HealthySessionsSurviveARandomlyFaultingSibling)
             faultinject::armBitFlip(
                 point, -1, rng(),
                 static_cast<int64_t>(victim->id()));
-            if (rng() % 4 == 0)
-                victim->injectStall(
-                    static_cast<int>(rng() % StageWatchdog::kStageCount),
-                    500.0 * neo::test::sanitizerTimeScale(), 1);
 
             std::vector<std::thread> drivers;
             for (size_t i = 0; i < sessions.size(); ++i) {
@@ -138,7 +127,6 @@ TEST(ServerSoakTest, HealthySessionsSurviveARandomlyFaultingSibling)
                 d.join();
         }
         faultinject::disarm();
-        victim->injectStall(0, 0.0, 0);
 
         // Healthy sessions: every delivered frame bit-identical to the
         // solo run, no faults, no state excursions.
@@ -155,8 +143,7 @@ TEST(ServerSoakTest, HealthySessionsSurviveARandomlyFaultingSibling)
         }
 
         // The victim saw real trouble...
-        EXPECT_GT(victim->stats().faults + victim->stats().watchdog_trips,
-                  0u);
+        EXPECT_GT(victim->stats().faults, 0u);
 
         // ...and converges back to Healthy once the faults stop. The
         // recovery frame runs on a rebuilt renderer (cold start), so its

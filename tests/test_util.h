@@ -24,12 +24,12 @@ namespace neo::test
 {
 
 /**
- * Wall-clock dilation factor for timing-sensitive tests (watchdog
- * floors, injected stalls). Sanitizer instrumentation slows every stage
- * by an order of magnitude, so thresholds that cleanly separate healthy
- * frames from injected stalls in a plain build collapse under TSAN —
- * scale both sides of the separation by this factor instead of
- * loosening the plain-build values.
+ * Wall-clock dilation factor for the socket front end's timeouts in
+ * tests (idle, read-progress and drain deadlines). Sanitizer
+ * instrumentation slows every frame by an order of magnitude, so a
+ * timeout that cleanly separates a healthy connection from a stalled
+ * one in a plain build collapses under TSAN — scale the timeouts by
+ * this factor instead of loosening the plain-build values.
  */
 inline constexpr double
 sanitizerTimeScale()

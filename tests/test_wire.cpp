@@ -67,7 +67,7 @@ TEST(WireFormatPinTest, SubmitFrameBytesAreUnchanged)
     // {length, crc32, payload} fence.
     const std::vector<uint8_t> bytes = submitFrameBytes(1, 2);
     EXPECT_EQ(neo::test::hexBytes(bytes.data(), bytes.size()),
-              "4e454f57010002000c0000007d8d55a2"
+              "4e454f57020002000c0000007d8d55a2"
               "010000000200000000000000");
 }
 
@@ -111,7 +111,6 @@ TEST(WireRoundTripTest, SubmitReplyCarriesFullOutcome)
     in.frame_hash = 0xDEADBEEFCAFEF00Dull;
     in.resolution_drop = 2;
     in.state = 1;
-    in.watchdog_stage = -1;
     in.faults = 7;
     in.rebuilds = 2;
     std::vector<uint8_t> bytes;
@@ -134,7 +133,6 @@ TEST(WireRoundTripTest, SubmitReplyCarriesFullOutcome)
     EXPECT_EQ(out.frame_hash, in.frame_hash);
     EXPECT_EQ(out.resolution_drop, in.resolution_drop);
     EXPECT_EQ(out.state, in.state);
-    EXPECT_EQ(out.watchdog_stage, in.watchdog_stage);
     EXPECT_EQ(out.faults, in.faults);
     EXPECT_EQ(out.rebuilds, in.rebuilds);
 }
@@ -156,7 +154,6 @@ TEST(WireRoundTripTest, StatsReplyCarriesEveryCounter)
     in.stats.deadline_misses = 8;
     in.stats.degraded_frames = 9;
     in.stats.faults = 1;
-    in.stats.watchdog_trips = 2;
     in.stats.quarantines = 3;
     in.stats.recoveries = 2;
     std::vector<uint8_t> bytes;
