@@ -11,7 +11,10 @@
  * serial stage is visible in the stage column, not just the total. The
  * hashes of every timed frame are checked across all points: a mismatch
  * means the determinism contract of common/parallel.h is broken and the
- * run fails.
+ * run fails. Each point also reports the last timed frame's exact work —
+ * instances, intersection tests, blend ops, sort entries read and
+ * written — which must equal at every thread count too: a change in work
+ * shows there with zero noise, where the timings drift.
  *
  *   ./bench_scaling [--json out.json] [--gaussians N] [--frames N]
  *                   [--threads-list 1,2,4,8] [--pr N]
@@ -128,6 +131,26 @@ parse(int argc, char **argv)
     return a;
 }
 
+/** The last timed frame's exact work counters, as printed and written. */
+struct WorkCounts
+{
+    unsigned long long instances;
+    unsigned long long intersection_tests;
+    unsigned long long blend_ops;
+    unsigned long long entries_read;
+    unsigned long long entries_written;
+
+    bool operator==(const WorkCounts &) const = default;
+};
+
+WorkCounts
+workCounts(const ThreadScalingPoint &p)
+{
+    return {p.last_frame.instances, p.last_frame.raster.intersection_tests,
+            p.last_frame.raster.blend_ops, p.last_sort.entries_read,
+            p.last_sort.entries_written};
+}
+
 bool
 writeJson(const std::string &path, const Args &args, Resolution res,
           const std::vector<ThreadScalingPoint> &points,
@@ -163,15 +186,21 @@ writeJson(const std::string &path, const Args &args, Resolution res,
     std::fprintf(f, "  \"points\": [\n");
     for (size_t i = 0; i < points.size(); ++i) {
         const ThreadScalingPoint &p = points[i];
+        const WorkCounts c = workCounts(p);
         std::fprintf(f,
                      "    {\"threads\": %d, \"ms_per_frame\": %.3f, "
                      "\"speedup\": %.3f, "
                      "\"stages\": {\"bin_ms\": %.3f, "
                      "\"tracker_ms\": %.3f, \"sort_ms\": %.3f, "
-                     "\"raster_ms\": %.3f, \"hash_ms\": %.3f}",
+                     "\"raster_ms\": %.3f, \"hash_ms\": %.3f}, "
+                     "\"counts\": {\"instances\": %llu, "
+                     "\"intersection_tests\": %llu, \"blend_ops\": %llu, "
+                     "\"entries_read\": %llu, \"entries_written\": %llu}",
                      p.threads, p.ms_per_frame, p.speedup, p.stages.bin_ms,
                      p.stages.tracker_ms, p.stages.sort_ms,
-                     p.stages.raster_ms, p.hash_ms);
+                     p.stages.raster_ms, p.hash_ms, c.instances,
+                     c.intersection_tests, c.blend_ops, c.entries_read,
+                     c.entries_written);
         if (reference_points && i < reference_points->size())
             std::fprintf(f, ", \"raster_ms_reference\": %.3f",
                          (*reference_points)[i].stages.raster_ms);
@@ -261,7 +290,8 @@ main(int argc, char **argv)
     bool deterministic = true;
     for (const auto &p : points)
         deterministic = deterministic &&
-                        p.frame_hashes == points.front().frame_hashes;
+                        p.frame_hashes == points.front().frame_hashes &&
+                        workCounts(p) == workCounts(points.front());
 
     if (args.raster_mode == "both") {
         std::printf("%-10s %-12s %-12s %-12s %-10s %s\n", "threads",
@@ -293,8 +323,19 @@ main(int argc, char **argv)
                         p.stages.raster_ms, p.hash_ms, p.speedup,
                         lastHash(p));
     }
+    std::printf("\nlast timed frame's exact work:\n%-10s %-12s %-14s %-12s "
+                "%-14s %s\n",
+                "threads", "instances", "itu_tests", "blend_ops",
+                "entries_read", "entries_written");
+    for (const auto &p : points) {
+        const WorkCounts c = workCounts(p);
+        std::printf("%-10d %-12llu %-14llu %-12llu %-14llu %llu\n",
+                    p.threads, c.instances, c.intersection_tests,
+                    c.blend_ops, c.entries_read, c.entries_written);
+    }
     std::printf("\ndeterminism across thread counts: %s\n",
-                deterministic ? "OK (every timed frame bit-identical)"
+                deterministic ? "OK (every timed frame bit-identical, "
+                                "equal work counts)"
                               : "FAILED");
 
     if (!args.json_path.empty()) {

@@ -3,8 +3,9 @@
  * Number parsing for the example programs' command lines. A value must
  * be one whole number in range (the full-string env::parseLong /
  * env::parseDouble), so `--frames 8x` is refused instead of read as 8.
- * On a bad value the parser prints the reason and the program's usage
- * line to stderr, then exits 2.
+ * On a bad value, an unknown flag or a flag missing its value the
+ * parser prints the reason and the program's usage line to stderr, then
+ * exits 2.
  */
 
 #ifndef NEO_EXAMPLES_EXAMPLE_ARGS_H
@@ -37,6 +38,14 @@ struct ArgParser
             std::exit(2);
         }
         return v;
+    }
+
+    /** Print "program: @p reason '@p flag'" and the usage, exit 2. */
+    [[noreturn]] void reject(const char *reason, const char *flag) const
+    {
+        std::fprintf(stderr, "%s: %s '%s'\n%s", program, reason, flag,
+                     usage);
+        std::exit(2);
     }
 
     /** @p text as a number in [@p lo, @p hi], or usage + exit 2. */

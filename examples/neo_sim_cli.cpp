@@ -14,7 +14,8 @@
  *
  * Numeric flags must be whole numbers in range (--frames 1..100000,
  * --speed (0, 64], --bandwidth (0, 1e6] GB/s, --scale (0, 4],
- * --threads -1..256); anything else prints the usage line and exits 2.
+ * --threads -1..256); anything else, an unknown flag, or a flag given
+ * without its value prints the usage line and exits 2.
  */
 
 #include <cstddef>
@@ -69,28 +70,34 @@ parse(int argc, char **argv)
 {
     Args a;
     const examples::ArgParser num{"neo_sim_cli", kUsage};
-    for (int i = 1; i + 1 < argc; i += 2) {
-        std::string k = argv[i];
-        const char *v = argv[i + 1];
+    for (int i = 1; i < argc; i += 2) {
+        const std::string k = argv[i];
+        const auto value = [&] {
+            if (i + 1 == argc)
+                num.reject("missing value for flag", argv[i]);
+            return argv[i + 1];
+        };
         if (k == "--scene")
-            a.scene = v;
+            a.scene = value();
         else if (k == "--system")
-            a.system = v;
+            a.system = value();
         else if (k == "--res")
-            a.res = v;
+            a.res = value();
         else if (k == "--frames")
-            a.frames = static_cast<int>(num.integer("--frames", v, 1, 100000));
+            a.frames = static_cast<int>(
+                num.integer("--frames", value(), 1, 100000));
         else if (k == "--speed")
-            a.speed = static_cast<float>(num.real("--speed", v, 1e-9, 64.0));
+            a.speed =
+                static_cast<float>(num.real("--speed", value(), 1e-9, 64.0));
         else if (k == "--bandwidth")
-            a.bandwidth = num.real("--bandwidth", v, 1e-9, 1e6);
+            a.bandwidth = num.real("--bandwidth", value(), 1e-9, 1e6);
         else if (k == "--scale")
-            a.scale = num.real("--scale", v, 1e-9, 4.0);
+            a.scale = num.real("--scale", value(), 1e-9, 4.0);
         else if (k == "--threads")
-            a.threads =
-                static_cast<int>(num.integer("--threads", v, -1, kMaxThreads));
+            a.threads = static_cast<int>(
+                num.integer("--threads", value(), -1, kMaxThreads));
         else
-            fatal("unknown flag '%s'", k.c_str());
+            num.reject("unknown flag", argv[i]);
     }
     return a;
 }

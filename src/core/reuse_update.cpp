@@ -80,7 +80,7 @@ ReuseUpdateSorter::collectScratch()
         report_.outgoing_marked += s.outgoing_marked;
     }
     growToHighWater(update_scratch_, [](UpdateScratch &s) {
-        return std::tie(s.incoming_sorted, s.merge_runs);
+        return std::tie(s.incoming_sorted, s.merge_runs, s.outgoing_marks);
     });
 }
 
@@ -176,27 +176,64 @@ ReuseUpdateSorter::deferredDepthUpdate(const BinnedFrame &frame)
     // The pass costs about one step per table entry, so it reuses the
     // frame's sort batches; the marks count into the participants'
     // persistent counters.
+    //
+    // Outgoing membership costs one probe of the participant's mark
+    // table per entry: the tile's outgoing ids are set before its walk
+    // and their words zeroed after it. On an ascending outgoing list
+    // (what the tracker emits) a set bit is exactly what a binary search
+    // of the list finds. The search stays for what the table cannot
+    // answer: an entry id beyond the table (only a corrupted one), and a
+    // list that is not ascending (a corrupted tracker membership), where
+    // it marks exactly what it marked before the table existed.
     static const std::vector<GaussianId> kNoOutgoing;
     const bool soa = frame.hasFeatureArrays();
     const size_t tiles = tables_.tileCount();
+    const size_t mark_words = (frame.feature_of_id.size() + 63) / 64;
+    for (UpdateScratch &s : update_scratch_)
+        if (s.outgoing_marks.size() < mark_words)
+            s.outgoing_marks.resize(mark_words);
     parallelForBatched(batches_, threads_,
                        [&](size_t begin, size_t end, size_t chunk) {
-        uint64_t &marked = update_scratch_[chunk].outgoing_marked;
+        UpdateScratch &s = update_scratch_[chunk];
+        uint64_t *const marks = s.outgoing_marks.data();
+        const size_t mark_bits = s.outgoing_marks.size() * 64;
         for (size_t t = begin; t < end; ++t) {
             const auto &outgoing = delta_.tiles.size() == tiles
                                        ? delta_.tiles[t].outgoing_ids
                                        : kNoOutgoing;
-            for (TileEntry &e : tables_.table(t)) {
+            const bool use_marks =
+                !outgoing.empty() &&
+                std::is_sorted(outgoing.begin(), outgoing.end());
+            if (use_marks)
+                for (GaussianId id : outgoing)
+                    if (id < mark_bits)
+                        marks[id >> 6] |= uint64_t{1} << (id & 63);
+            std::vector<TileEntry> &table = tables_.table(t);
+            for (size_t i = 0; i < table.size(); ++i) {
+                if (soa)
+                    prefetchGather(frame, table, i, [&](int32_t slot) {
+                        prefetchRead(&frame.depth[slot]);
+                    });
+                TileEntry &e = table[i];
                 if (frame.isVisible(e.id))
                     e.depth = soa ? frame.depth[frame.slotOf(e.id)]
                                   : frame.featureOf(e.id).depth;
-                if (!outgoing.empty() &&
-                    std::binary_search(outgoing.begin(), outgoing.end(),
-                                       e.id)) {
+                if (outgoing.empty())
+                    continue;
+                const bool out =
+                    use_marks && e.id < mark_bits
+                        ? (marks[e.id >> 6] >> (e.id & 63) & 1) != 0
+                        : std::binary_search(outgoing.begin(),
+                                             outgoing.end(), e.id);
+                if (out) {
                     e.valid = false;
-                    ++marked;
+                    ++s.outgoing_marked;
                 }
             }
+            if (use_marks)
+                for (GaussianId id : outgoing)
+                    if (id < mark_bits)
+                        marks[id >> 6] = 0;
         }
     });
 }

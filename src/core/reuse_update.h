@@ -144,13 +144,13 @@ class ReuseUpdateSorter : public SortingStrategy
     /**
      * Per-participant working memory of the frame's tile dispatches,
      * persistent across frames: the sorted-incoming staging buffer, the
-     * MSU merge staging buffer of the chunk sorts, and the frame's
-     * counters. A participant runs whichever tiles it claims
-     * (parallelForBatched), so the counters are integer sums merged
-     * order-independently, and the buffers are grown to one shared
-     * high-water capacity after the dispatches (growToHighWater): the
-     * retained capacity depends on the tiles, not on which participant
-     * drew the largest one.
+     * MSU merge staging buffer of the chunk sorts, the outgoing-id mark
+     * table of the deferred depth update, and the frame's counters. A
+     * participant runs whichever tiles it claims (parallelForBatched),
+     * so the counters are integer sums merged order-independently, and
+     * the buffers are grown to one shared high-water capacity after the
+     * dispatches (growToHighWater): the retained capacity depends on the
+     * tiles, not on which participant drew the largest one.
      */
     struct UpdateScratch
     {
@@ -160,6 +160,12 @@ class ReuseUpdateSorter : public SortingStrategy
         uint64_t outgoing_marked = 0;
         std::vector<TileEntry> incoming_sorted;
         std::vector<TileEntry> merge_runs;
+        /** One bit per scene Gaussian id, all zero between tiles: the
+            depth update sets a tile's outgoing ids, tests each table
+            entry with one probe, then clears them (deferredDepthUpdate).
+            Sized to the scene before the dispatch, so warm frames never
+            grow it. */
+        std::vector<uint64_t> outgoing_marks;
     };
 
     DynamicPartialConfig dps_;

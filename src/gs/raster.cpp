@@ -15,31 +15,116 @@
 namespace neo
 {
 
-SubtileBitmap
-subtileBitmap(Vec2 mean2d, float radius_px, Vec2 tile_origin, int tile_size,
-              int subtile_size)
+namespace
 {
-    const int subtiles = tile_size / subtile_size;
-    const float step = static_cast<float>(subtile_size);
+
+/**
+ * Magnitude below which subtileBitmap's inputs take the bounded scan.
+ * Under 2^16 a float's spacing is at most 2^-7 px, so the rounding of
+ * every quantity the window and the test are built from is far below
+ * the one-subtile window margin.
+ */
+constexpr float kBoundedScanLimit = 65536.0f;
+
+/** One tile's subtile layout: what subtileBitmap needs that does not
+    depend on the Gaussian, set up once per tile. */
+struct SubtileGrid
+{
+    Vec2 origin;
+    int subtile_size;
+    int subtiles; //!< per side
+    float step;
+    float inv_step;
+    /** The tile qualifies for the bounded scan: an integral origin, so
+        every subtile edge is an exact integer, and small magnitudes. */
+    bool bounded;
+
+    SubtileGrid(Vec2 tile_origin, int tile_size, int subtile)
+        : origin(tile_origin), subtile_size(subtile),
+          subtiles(tile_size / subtile), step(static_cast<float>(subtile)),
+          inv_step(1.0f / step),
+          bounded(std::fabs(origin.x) < kBoundedScanLimit &&
+                  std::fabs(origin.y) < kBoundedScanLimit &&
+                  static_cast<float>(tile_size) < kBoundedScanLimit &&
+                  origin.x == std::floor(origin.x) &&
+                  origin.y == std::floor(origin.y))
+    {
+    }
+
+    /**
+     * Subtile index range [lo, hi] (clamped to [0, subtiles)) within
+     * one subtile of the footprint interval [c - reach, c + reach] along
+     * the axis whose subtiles start at @p o.
+     */
+    void window(float c, float reach, float o, int &lo, int &hi) const
+    {
+        lo = std::max(
+            0, static_cast<int>(std::floor((c - reach - o) * inv_step)) - 1);
+        hi = std::min(
+            subtiles - 1,
+            static_cast<int>(std::floor((c + reach - o) * inv_step)) + 1);
+    }
+};
+
+/** subtileBitmap over a prepared tile layout (see raster.h). */
+SubtileBitmap
+subtileBitmapIn(const SubtileGrid &grid, Vec2 mean2d, float radius_px)
+{
+    const int subtiles = grid.subtiles;
+    const float step = grid.step;
     const float r2 = radius_px * radius_px;
+
+    // Window of subtiles that can pass. The test below passes only if
+    // the rounded dx * dx is <= r2 (dy2 >= 0 and rounding is monotone).
+    // On a bounded tile with finite inputs below kBoundedScanLimit that
+    // bounds a passing subtile's distance to the center along x by
+    // |r| + 1/64 px (every subtile edge is an exact integer), and
+    // likewise along y. The window's one-subtile margin covers that plus
+    // the rounding of its own floor arguments (< 0.1 subtile), so every
+    // subtile outside it fails the test and its bit stays 0, exactly as
+    // in the full scan. Other inputs (NaN, infinities, larger
+    // magnitudes, a fractional tile origin) scan all subtiles.
+    int sx_lo = 0, sx_hi = subtiles - 1, sy_lo = 0, sy_hi = subtiles - 1;
+    float x_lo = grid.origin.x;
+    float y0 = grid.origin.y;
+    const float reach = std::fabs(radius_px);
+    if (grid.bounded && std::fabs(mean2d.x) < kBoundedScanLimit &&
+        std::fabs(mean2d.y) < kBoundedScanLimit &&
+        reach < kBoundedScanLimit) {
+        grid.window(mean2d.x, reach, grid.origin.x, sx_lo, sx_hi);
+        grid.window(mean2d.y, reach, grid.origin.y, sy_lo, sy_hi);
+        // The full scan reaches these edges by exact repeated addition.
+        x_lo += static_cast<float>(sx_lo * grid.subtile_size);
+        y0 += static_cast<float>(sy_lo * grid.subtile_size);
+    }
+
     SubtileBitmap bitmap = 0;
-    int bit = 0;
-    float y0 = tile_origin.y;
-    for (int sy = 0; sy < subtiles; ++sy, y0 += step) {
+    for (int sy = sy_lo; sy <= sy_hi; ++sy, y0 += step) {
         // Closest point of the subtile rectangle to the Gaussian center;
         // the y term is constant across the inner row.
         const float cy = clamp(mean2d.y, y0, y0 + step);
         const float dy = cy - mean2d.y;
         const float dy2 = dy * dy;
-        float x0 = tile_origin.x;
-        for (int sx = 0; sx < subtiles; ++sx, ++bit, x0 += step) {
+        float x0 = x_lo;
+        for (int sx = sx_lo; sx <= sx_hi; ++sx, x0 += step) {
             float cx = clamp(mean2d.x, x0, x0 + step);
             float dx = cx - mean2d.x;
-            if (dx * dx + dy2 <= r2)
-                bitmap |= (SubtileBitmap{1} << bit);
+            // Branch-free: which subtiles pass is data-dependent.
+            bitmap |= static_cast<SubtileBitmap>(dx * dx + dy2 <= r2)
+                      << (sy * subtiles + sx);
         }
     }
     return bitmap;
+}
+
+} // namespace
+
+SubtileBitmap
+subtileBitmap(Vec2 mean2d, float radius_px, Vec2 tile_origin, int tile_size,
+              int subtile_size)
+{
+    return subtileBitmapIn(SubtileGrid(tile_origin, tile_size, subtile_size),
+                           mean2d, radius_px);
 }
 
 float
@@ -162,8 +247,10 @@ blendReference(const std::vector<TileEntry> &entries,
  * (CSR, driven by the phase-1 bitmaps) and each subtile's pixel block is
  * blended to completion in contiguous SoA planes:
  *
- *  1. compact the covering Gaussians' hot fields into per-field arrays
- *     (front-to-back order preserved) and build the CSR buckets;
+ *  1. the @p active covering Gaussians arrive compacted into per-field
+ *     arrays (front-to-back order preserved) by rasterizeTile's ITU pass,
+ *     which gathered each entry's features once; the CSR buckets are
+ *     built from their compacted bitmaps;
  *  2. per block and Gaussian, a survivor-batched pipeline replaces the
  *     historical test->exp->blend pixel loop:
  *       a. one vectorizable pass evaluates the conic power for all block
@@ -202,121 +289,116 @@ blendReference(const std::vector<TileEntry> &entries,
  * on the (separately fenced) tile entry list and produces bit-identical
  * pixels. Returns true when the tile was blended here.
  */
-bool
-blendBlocked(const std::vector<TileEntry> &entries, const BinnedFrame &frame,
-             const RasterConfig &cfg, Image *image, RasterScratch &scr,
-             RasterStats &stats, int px0, int py0, int w, int h,
-             int subtiles, int tile, IntegrityContext *integrity)
+/**
+ * Grow every compacted-Gaussian array of @p scr to hold @p n entries.
+ * Never shrinks, so a warm worker resizes nothing; the arrays' sizes are
+ * capacities and the tile's compacted count travels separately.
+ */
+void
+reserveCompacted(RasterScratch &scr, size_t n)
 {
-    const std::vector<SubtileBitmap> &bitmaps = scr.bitmaps;
+    if (scr.gauss_bitmap.size() >= n)
+        return;
+    scr.gauss_mean_x.resize(n);
+    scr.gauss_mean_y.resize(n);
+    scr.gauss_conic_a.resize(n);
+    scr.gauss_conic_b.resize(n);
+    scr.gauss_conic_c.resize(n);
+    scr.gauss_opacity.resize(n);
+    scr.gauss_power_cut.resize(n);
+    scr.gauss_dx_bound_sq.resize(n);
+    scr.gauss_dy_bound_sq.resize(n);
+    scr.gauss_color.resize(n);
+    scr.gauss_bitmap.resize(n);
+}
+
+/**
+ * Append the Gaussian in feature slot @p slot, whose subtile bitmap is
+ * @p bm, as compacted entry @p j of the blocked kernel: its hot fields,
+ * skip cut and ellipse-extent bounds (see blendBlocked).
+ *
+ * The skip cut: power < log(threshold / opacity) - 1/16 guarantees
+ * alpha < threshold, so skipping the exp there cannot change which
+ * pixels blend. The 2^-4 margin (exact in float) is ~4 orders of
+ * magnitude above everything it must swamp — the <= 1-ulp rounding of
+ * the two logs and the subtractions, and the relative error of the
+ * falloff exp itself (std::exp <= 1 ulp, fastExpNegative <=
+ * kFastExpMaxRelError = 2e-6): a skipped pixel's alpha is below
+ * e^(-1/16) * threshold * (1 + ~1e-5) < 0.94 * threshold.
+ */
+void
+compactGaussian(const BinnedFrame &frame, int32_t slot, SubtileBitmap bm,
+                float log_threshold, RasterScratch &scr, uint32_t j)
+{
+    const float opacity = frame.opacity[slot];
+    const Vec2 mean = frame.mean2d[slot];
+    const Vec3 conic = frame.conic[slot];
+    scr.gauss_mean_x[j] = mean.x;
+    scr.gauss_mean_y[j] = mean.y;
+    scr.gauss_conic_a[j] = conic.x;
+    scr.gauss_conic_b[j] = conic.y;
+    scr.gauss_conic_c[j] = conic.z;
+    scr.gauss_opacity[j] = opacity;
+    scr.gauss_color[j] = frame.color[slot];
+    scr.gauss_bitmap[j] = bm;
+    const float cut_j = log_threshold - std::log(opacity) - 0.0625f;
+    scr.gauss_power_cut[j] = cut_j;
+    // Conservative squared half-extents of the cut ellipse: for a fixed
+    // dy the power maximizes (over real dx) at -dy^2 * det / (2a), so
+    // rows with dy^2 > -2a*cut/det cannot contain a pixel reaching the
+    // cut (columns symmetrically with c). Two safeguards keep the prune
+    // strictly conservative against float rounding of the kernel's
+    // power evaluation: the products and det are computed in double
+    // (exact for float inputs, so the notorious a*c - b*b cancellation
+    // cannot amplify error), and pruning is enabled only when
+    // det >= 2^-10 * (a*c). That conditioning guard bounds the magnitude
+    // of the power terms at any near-cut pixel by
+    // ~2 * (a*c/det) * |cut| <= 2^11 * |cut|; with ~8 roundings of
+    // <= 2^-24 each in conicPower, the float evaluation's absolute error
+    // stays below ~2^-10 * |cut|, and the 1 + 2^-7 bound inflation
+    // leaves an 8x margin over that worst case (|cut| >= the 2^-4 cut
+    // margin by construction). Ill-conditioned, degenerate or NaN conics
+    // get infinite bounds (no pruning) and flow through the full-block
+    // path.
+    const double ad = conic.x, bd = conic.y, cd = conic.z;
+    const double det = ad * cd - bd * bd;
+    float dx_bound_sq = std::numeric_limits<float>::infinity();
+    float dy_bound_sq = dx_bound_sq;
+    if (conic.x > 0.0f && conic.z > 0.0f && det > 0x1p-10 * (ad * cd) &&
+        cut_j < 0.0f) {
+        const double s = -2.0 * static_cast<double>(cut_j) / det * 1.0078125;
+        dy_bound_sq = static_cast<float>(ad * s);
+        dx_bound_sq = static_cast<float>(cd * s);
+    }
+    scr.gauss_dx_bound_sq[j] = dx_bound_sq;
+    scr.gauss_dy_bound_sq[j] = dy_bound_sq;
+}
+
+bool
+blendBlocked(uint32_t active, const RasterConfig &cfg, Image *image,
+             RasterScratch &scr, RasterStats &stats, int px0, int py0, int w,
+             int h, int subtiles, int tile, IntegrityContext *integrity)
+{
     const int sub = cfg.subtile_size;
     const int subtile_count = subtiles * subtiles;
     const size_t block_cap = static_cast<size_t>(sub) * sub;
+    const SubtileBitmap *const bitmaps = scr.gauss_bitmap.data();
 
-    // --- Bucket sizes and the compacted-Gaussian count. Entries whose
-    // peak alpha cannot reach the threshold (opacity < threshold implies
-    // alpha = opacity * falloff <= opacity for falloff in [0, 1]) never
-    // blend in the reference loop either and are dropped here.
+    // --- Bucket sizes over the compacted Gaussians, then the scatter in
+    // their (front-to-back) order; afterwards bucket b spans
+    // [b ? offsets[b-1] : 0, offsets[b]).
     std::vector<uint32_t> &offsets = scr.bucket_offsets;
     offsets.assign(static_cast<size_t>(subtile_count) + 1, 0);
-    uint32_t active = 0;
-    for (size_t i = 0; i < entries.size(); ++i) {
-        SubtileBitmap bm = bitmaps[i];
-        if (!bm)
-            continue;
-        if (frame.opacity[frame.slotOf(entries[i].id)] <
-            cfg.alpha_threshold)
-            continue;
-        ++active;
-        while (bm) {
+    for (uint32_t j = 0; j < active; ++j)
+        for (SubtileBitmap bm = bitmaps[j]; bm; bm &= bm - 1)
             ++offsets[std::countr_zero(bm) + 1];
-            bm &= bm - 1;
-        }
-    }
     for (int b = 0; b < subtile_count; ++b)
         offsets[b + 1] += offsets[b];
     const uint32_t total_refs = offsets[subtile_count];
-
-    // --- Compact the hot Gaussian fields into SoA arrays (front-to-back
-    // order) and scatter the bucket entries; afterwards bucket b spans
-    // [b ? offsets[b-1] : 0, offsets[b]).
-    scr.gauss_mean_x.resize(active);
-    scr.gauss_mean_y.resize(active);
-    scr.gauss_conic_a.resize(active);
-    scr.gauss_conic_b.resize(active);
-    scr.gauss_conic_c.resize(active);
-    scr.gauss_opacity.resize(active);
-    scr.gauss_power_cut.resize(active);
-    scr.gauss_dx_bound_sq.resize(active);
-    scr.gauss_dy_bound_sq.resize(active);
-    scr.gauss_color.resize(active);
     scr.bucket_entries.resize(total_refs);
-    // The skip cut: power < log(threshold / opacity) - 1/16 guarantees
-    // alpha < threshold, so skipping the exp there cannot change which
-    // pixels blend. The 2^-4 margin (exact in float) is ~4 orders of
-    // magnitude above everything it must swamp — the <= 1-ulp rounding
-    // of the two logs and the subtractions, and the relative error of
-    // the falloff exp itself (std::exp <= 1 ulp, fastExpNegative <=
-    // kFastExpMaxRelError = 2e-6): a skipped pixel's alpha is below
-    // e^(-1/16) * threshold * (1 + ~1e-5) < 0.94 * threshold.
-    const float log_threshold = std::log(cfg.alpha_threshold);
-    uint32_t j = 0;
-    for (size_t i = 0; i < entries.size(); ++i) {
-        SubtileBitmap bm = bitmaps[i];
-        if (!bm)
-            continue;
-        const int32_t slot = frame.slotOf(entries[i].id);
-        const float opacity = frame.opacity[slot];
-        if (opacity < cfg.alpha_threshold)
-            continue;
-        const Vec2 mean = frame.mean2d[slot];
-        const Vec3 conic = frame.conic[slot];
-        scr.gauss_mean_x[j] = mean.x;
-        scr.gauss_mean_y[j] = mean.y;
-        scr.gauss_conic_a[j] = conic.x;
-        scr.gauss_conic_b[j] = conic.y;
-        scr.gauss_conic_c[j] = conic.z;
-        scr.gauss_opacity[j] = opacity;
-        scr.gauss_color[j] = frame.color[slot];
-        const float cut_j = log_threshold - std::log(opacity) - 0.0625f;
-        scr.gauss_power_cut[j] = cut_j;
-        // Conservative squared half-extents of the cut ellipse: for a
-        // fixed dy the power maximizes (over real dx) at
-        // -dy^2 * det / (2a), so rows with dy^2 > -2a*cut/det cannot
-        // contain a pixel reaching the cut (columns symmetrically with
-        // c). Two safeguards keep the prune strictly conservative
-        // against float rounding of the kernel's power evaluation:
-        // the products and det are computed in double (exact for float
-        // inputs, so the notorious a*c - b*b cancellation cannot
-        // amplify error), and pruning is enabled only when
-        // det >= 2^-10 * (a*c). That conditioning guard bounds the
-        // magnitude of the power terms at any near-cut pixel by
-        // ~2 * (a*c/det) * |cut| <= 2^11 * |cut|; with ~8 roundings of
-        // <= 2^-24 each in conicPower, the float evaluation's absolute
-        // error stays below ~2^-10 * |cut|, and the 1 + 2^-7 bound
-        // inflation leaves an 8x margin over that worst case (|cut| >=
-        // the 2^-4 cut margin by construction). Ill-conditioned,
-        // degenerate or NaN conics get infinite bounds (no pruning)
-        // and flow through the full-block path.
-        const double ad = conic.x, bd = conic.y, cd = conic.z;
-        const double det = ad * cd - bd * bd;
-        float dx_bound_sq = std::numeric_limits<float>::infinity();
-        float dy_bound_sq = dx_bound_sq;
-        if (conic.x > 0.0f && conic.z > 0.0f &&
-            det > 0x1p-10 * (ad * cd) && cut_j < 0.0f) {
-            const double s =
-                -2.0 * static_cast<double>(cut_j) / det * 1.0078125;
-            dy_bound_sq = static_cast<float>(ad * s);
-            dx_bound_sq = static_cast<float>(cd * s);
-        }
-        scr.gauss_dx_bound_sq[j] = dx_bound_sq;
-        scr.gauss_dy_bound_sq[j] = dy_bound_sq;
-        while (bm) {
+    for (uint32_t j = 0; j < active; ++j)
+        for (SubtileBitmap bm = bitmaps[j]; bm; bm &= bm - 1)
             scr.bucket_entries[offsets[std::countr_zero(bm)]++] = j;
-            bm &= bm - 1;
-        }
-        ++j;
-    }
 
     if (integrity) {
         // CSR fence: duplicate-compute the bounds digest across the
@@ -597,9 +679,10 @@ rasterizeTile(const std::vector<TileEntry> &entries, const BinnedFrame &frame,
     if (subtiles * subtiles > 64)
         panic("rasterizeTile: more than 64 subtiles per tile");
 
-    stats.gaussians_in = entries.size();
+    const size_t n = entries.size();
+    stats.gaussians_in = n;
     if (valid_out)
-        valid_out->assign(entries.size(), 0);
+        valid_out->assign(n, 0);
 
     RasterScratch local;
     RasterScratch &scr = scratch ? *scratch : local;
@@ -608,10 +691,44 @@ rasterizeTile(const std::vector<TileEntry> &entries, const BinnedFrame &frame,
     // fall back to the AoS feature records otherwise.
     const bool soa = frame.hasFeatureArrays();
 
-    // Phase 1 (ITU): subtile bitmaps and valid bits.
+    // The tile's pixel rectangle (empty for a stats-only dry run), known
+    // up front so the ITU pass can feed the blocked kernel directly.
+    const int px0 = static_cast<int>(origin.x);
+    const int py0 = static_cast<int>(origin.y);
+    const int w = image ? std::min(tile_size, image->width() - px0) : 0;
+    const int h = image ? std::min(tile_size, image->height() - py0) : 0;
+    const bool blend = w > 0 && h > 0;
+    const bool blocked = blend && soa && !cfg.reference_path &&
+                         tile_size % cfg.subtile_size == 0;
+
+    // Phase 1 (ITU): one walk over the entries resolves each slot once
+    // and computes its subtile bitmap and valid bit. On the blocked path
+    // the same walk compacts every entry that can blend into the
+    // kernel's SoA arrays: it must hit a subtile, and its peak alpha must
+    // reach the threshold (opacity < threshold implies
+    // alpha = opacity * falloff <= opacity for falloff in [0, 1], so the
+    // reference loop never blends it either). The per-entry bitmaps stay
+    // for the reference blend, which is also the blocked kernel's
+    // fallback.
     std::vector<SubtileBitmap> &bitmaps = scr.bitmaps;
-    bitmaps.assign(entries.size(), 0);
-    for (size_t i = 0; i < entries.size(); ++i) {
+    bitmaps.resize(n);
+    if (blocked)
+        reserveCompacted(scr, n);
+    const SubtileGrid sub_grid(origin, tile_size, cfg.subtile_size);
+    const float log_threshold = std::log(cfg.alpha_threshold);
+    uint32_t active = 0;
+    for (size_t i = 0; i < n; ++i) {
+        if (soa)
+            prefetchGather(frame, entries, i, [&](int32_t slot) {
+                prefetchRead(&frame.mean2d[slot]);
+                prefetchRead(&frame.radius_px[slot]);
+                if (blocked) {
+                    prefetchRead(&frame.opacity[slot]);
+                    prefetchRead(&frame.conic[slot]);
+                    prefetchRead(&frame.color[slot]);
+                }
+            });
+        bitmaps[i] = 0;
         if (!entries[i].valid || !frame.isVisible(entries[i].id))
             continue;
         const int32_t slot = frame.slotOf(entries[i].id);
@@ -619,41 +736,31 @@ rasterizeTile(const std::vector<TileEntry> &entries, const BinnedFrame &frame,
                               : frame.features[slot].mean2d;
         const float radius = soa ? frame.radius_px[slot]
                                  : frame.features[slot].radius_px;
-        bitmaps[i] =
-            subtileBitmap(mean, radius, origin, tile_size,
-                          cfg.subtile_size);
+        const SubtileBitmap bm = subtileBitmapIn(sub_grid, mean, radius);
+        bitmaps[i] = bm;
         stats.intersection_tests +=
             static_cast<uint64_t>(subtiles) * subtiles;
-        if (bitmaps[i]) {
-            ++stats.gaussians_blended;
-            if (valid_out)
-                (*valid_out)[i] = 1;
-        }
+        if (!bm)
+            continue;
+        ++stats.gaussians_blended;
+        if (valid_out)
+            (*valid_out)[i] = 1;
+        if (blocked && !(frame.opacity[slot] < cfg.alpha_threshold))
+            compactGaussian(frame, slot, bm, log_threshold, scr, active++);
     }
 
-    if (!image) {
-        // Dry run: ITU work only.
+    if (!blend) {
+        // Dry run (or a tile outside the image): ITU work only.
         return stats;
     }
 
     // Phase 2 (SCU): per-pixel front-to-back alpha blending.
-    const int img_w = image->width();
-    const int img_h = image->height();
-    const int px0 = static_cast<int>(origin.x);
-    const int py0 = static_cast<int>(origin.y);
-    const int w = std::min(tile_size, img_w - px0);
-    const int h = std::min(tile_size, img_h - py0);
-    if (w <= 0 || h <= 0)
-        return stats;
-
-    const bool blocked = soa && !cfg.reference_path &&
-                         tile_size % cfg.subtile_size == 0;
     // blendBlocked returns false only when its integrity fence caught a
     // corrupted CSR (before any pixel write); the reference blend then
     // re-renders the tile from the intact entry list.
     if (!blocked ||
-        !blendBlocked(entries, frame, cfg, image, scr, stats, px0, py0, w,
-                      h, subtiles, tile, integrity))
+        !blendBlocked(active, cfg, image, scr, stats, px0, py0, w, h,
+                      subtiles, tile, integrity))
         blendReference(entries, frame, cfg, image, scr, stats, px0, py0,
                        w, h, subtiles);
     return stats;
@@ -677,6 +784,7 @@ estimateTileBlendOps(const std::vector<TileEntry> &entries,
     // opacity * E[falloff] with E[falloff] ~= 0.45 for a 3-sigma splat.
     constexpr double kMeanFalloff = 0.45;
     const bool soa = frame.hasFeatureArrays();
+    const SubtileGrid sub_grid(origin, tile_size, cfg.subtile_size);
     double transmittance = 1.0;
     double blend_ops = 0.0;
     for (const TileEntry &e : entries) {
@@ -687,10 +795,9 @@ estimateTileBlendOps(const std::vector<TileEntry> &entries,
         const int32_t slot = frame.slotOf(e.id);
         const float opacity =
             soa ? frame.opacity[slot] : frame.features[slot].opacity;
-        SubtileBitmap bm = subtileBitmap(
-            soa ? frame.mean2d[slot] : frame.features[slot].mean2d,
-            soa ? frame.radius_px[slot] : frame.features[slot].radius_px,
-            origin, tile_size, cfg.subtile_size);
+        SubtileBitmap bm = subtileBitmapIn(
+            sub_grid, soa ? frame.mean2d[slot] : frame.features[slot].mean2d,
+            soa ? frame.radius_px[slot] : frame.features[slot].radius_px);
         if (!bm)
             continue;
         double coverage =

@@ -100,6 +100,12 @@ using SubtileBitmap = uint64_t;
  * is the hot path; the squared radius is hoisted out of the loop and the
  * subtile origins advance incrementally (both exact in float, since all
  * quantities involved are small integers).
+ *
+ * The per-subtile float test runs only on the subtiles within one
+ * subtile of the footprint's bounding square (a footprint typically
+ * touches 2-3 of the 64); every other subtile provably fails it (see
+ * raster.cpp), so the bitmap equals the full 64-subtile scan bit for bit.
+ * Non-finite or very large inputs take the full scan.
  */
 SubtileBitmap subtileBitmap(Vec2 mean2d, float radius_px, Vec2 tile_origin,
                             int tile_size, int subtile_size);
@@ -206,9 +212,11 @@ constexpr const char *kRasterKernelVariant =
  * The first block of vectors serves the ITU pass and the scalar reference
  * blend; the rest is the subtile-blocked kernel's working set: one SoA
  * array per hot Gaussian field (compacted over the entries that hit at
- * least one subtile), the CSR subtile buckets, and the per-block pixel
- * planes (transmittance / r / g / b / falloff power), each
- * subtile_size^2 floats and contiguous by construction.
+ * least one subtile and can reach the alpha threshold, filled by the
+ * ITU pass itself, so each entry's features are gathered once), the CSR
+ * subtile buckets, and the per-block pixel planes (transmittance / r /
+ * g / b / falloff power), each subtile_size^2 floats and contiguous by
+ * construction.
  */
 struct RasterScratch
 {
@@ -231,6 +239,7 @@ struct RasterScratch
     std::vector<float> gauss_dx_bound_sq;
     std::vector<float> gauss_dy_bound_sq;
     std::vector<Vec3> gauss_color;
+    std::vector<SubtileBitmap> gauss_bitmap;
     // Blocked kernel: CSR buckets mapping subtile -> covering Gaussians.
     std::vector<uint32_t> bucket_offsets;
     std::vector<uint32_t> bucket_entries;
@@ -262,10 +271,10 @@ struct RasterScratch
                         s.gauss_conic_b, s.gauss_conic_c, s.gauss_opacity,
                         s.gauss_power_cut, s.gauss_dx_bound_sq,
                         s.gauss_dy_bound_sq, s.gauss_color,
-                        s.bucket_offsets, s.bucket_entries, s.surv_idx,
-                        s.surv_pow, s.surv_exp, s.block_power, s.block_t,
-                        s.block_r, s.block_g, s.block_b, s.block_cx,
-                        s.block_cy);
+                        s.gauss_bitmap, s.bucket_offsets, s.bucket_entries,
+                        s.surv_idx, s.surv_pow, s.surv_exp, s.block_power,
+                        s.block_t, s.block_r, s.block_g, s.block_b,
+                        s.block_cx, s.block_cy);
     }
 
     /**

@@ -11,6 +11,7 @@
 #define NEO_GS_TILING_H
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -187,6 +188,52 @@ struct BinnedFrame
      */
     size_t capacityBytes() const;
 };
+
+/** Cache hint: start loading the line at @p p for reading. */
+inline void
+prefetchRead(const void *p)
+{
+#if defined(__GNUC__) || defined(__clang__)
+    __builtin_prefetch(p, 0, 3);
+#else
+    (void)p;
+#endif
+}
+
+/**
+ * How far ahead of a walk over tile entries the gathers are requested:
+ * the id -> slot map line kSlotPrefetchAhead entries early, the slot's
+ * feature lines kFeaturePrefetchAhead entries early (by which time the
+ * map line has arrived). A tile's entries are in depth or id order, so
+ * consecutive entries' features sit on unrelated cache lines.
+ */
+constexpr size_t kSlotPrefetchAhead = 16;
+constexpr size_t kFeaturePrefetchAhead = 8;
+
+/**
+ * Prefetch for step @p i of a walk over @p entries that gathers
+ * @p frame's features by id: requests the slot-map line of entry
+ * i + kSlotPrefetchAhead and, when entry i + kFeaturePrefetchAhead is
+ * visible, calls @p feature_lines(slot) to request its feature lines.
+ * A hint only: it never changes what the walk computes.
+ */
+template <typename FeatureLines>
+inline void
+prefetchGather(const BinnedFrame &frame, const std::vector<TileEntry> &entries,
+               size_t i, FeatureLines &&feature_lines)
+{
+    const size_t n = entries.size();
+    if (i + kSlotPrefetchAhead < n) {
+        const GaussianId id = entries[i + kSlotPrefetchAhead].id;
+        if (id < frame.feature_of_id.size())
+            prefetchRead(&frame.feature_of_id[id]);
+    }
+    if (i + kFeaturePrefetchAhead < n) {
+        const GaussianId id = entries[i + kFeaturePrefetchAhead].id;
+        if (frame.isVisible(id))
+            feature_lines(frame.slotOf(id));
+    }
+}
 
 class FrameArena;
 

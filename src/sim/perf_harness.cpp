@@ -176,6 +176,7 @@ sweepRenderThreadsStaged(const GaussianScene &scene,
         p.stages.raster_ms /= frames;
         p.hash_ms /= frames;
         p.last_frame = report.frame;
+        p.last_sort = report.sort;
         p.speedup = points.empty()
                         ? 1.0
                         : points.front().ms_per_frame / p.ms_per_frame;

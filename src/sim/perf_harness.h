@@ -18,6 +18,7 @@
 #include "sim/gpu_model.h"
 #include "sim/gscore_model.h"
 #include "sim/neo_model.h"
+#include "sort/chunk_sort.h"
 
 namespace neo
 {
@@ -85,6 +86,8 @@ struct ThreadScalingPoint
      * the frame hashes.
      */
     FrameStats last_frame;
+    /** Sort-core counters of the last rendered frame (exact work). */
+    SortCoreStats last_sort;
 };
 
 /**

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/neo_renderer.h"
 #include "gs/pipeline.h"
 #include "gs/raster.h"
@@ -72,6 +73,160 @@ TEST(SubtileBitmapTest, BitmapGrowsWithRadius)
     SubtileBitmap large = subtileBitmap(pg, {0.0f, 0.0f}, 64, 8);
     EXPECT_EQ(small & large, small); // superset
     EXPECT_GT(std::popcount(large), std::popcount(small));
+}
+
+/**
+ * The full scan over every subtile of the tile: subtileBitmap as it was
+ * before its bounded window, kept as the oracle the bounded scan must
+ * equal bit for bit.
+ */
+SubtileBitmap
+fullScanBitmap(Vec2 mean2d, float radius_px, Vec2 tile_origin, int tile_size,
+               int subtile_size)
+{
+    const int subtiles = tile_size / subtile_size;
+    const float step = static_cast<float>(subtile_size);
+    const float r2 = radius_px * radius_px;
+    SubtileBitmap bitmap = 0;
+    int bit = 0;
+    float y0 = tile_origin.y;
+    for (int sy = 0; sy < subtiles; ++sy, y0 += step) {
+        const float cy = clamp(mean2d.y, y0, y0 + step);
+        const float dy = cy - mean2d.y;
+        const float dy2 = dy * dy;
+        float x0 = tile_origin.x;
+        for (int sx = 0; sx < subtiles; ++sx, ++bit, x0 += step) {
+            float cx = clamp(mean2d.x, x0, x0 + step);
+            float dx = cx - mean2d.x;
+            if (dx * dx + dy2 <= r2)
+                bitmap |= (SubtileBitmap{1} << bit);
+        }
+    }
+    return bitmap;
+}
+
+/** Tile/subtile sizes with at most 64 subtiles, subtiles 4 to 32 px. */
+struct BitmapGeometry
+{
+    int tile;
+    int subtile;
+};
+constexpr BitmapGeometry kBitmapGeometries[] = {
+    {16, 4}, {32, 4}, {16, 8}, {32, 8}, {64, 8}, {32, 16}, {64, 16},
+    {64, 32}};
+
+/** Interior and edge tiles of a 1280x720 frame (the last row and column
+    are partial at 64 px), plus a non-integral origin. */
+constexpr Vec2 kBitmapOrigins[] = {{0.0f, 0.0f},      {640.0f, 320.0f},
+                                   {1216.0f, 704.0f}, {1216.0f, 0.0f},
+                                   {0.0f, 704.0f},    {37.25f, 1000.5f}};
+
+TEST(SubtileBitmapTest, BoundedScanEqualsFullScanRandomized)
+{
+    Rng rng(4242);
+    int hits = 0, calls = 0;
+    for (const BitmapGeometry &g : kBitmapGeometries)
+        for (const Vec2 o : kBitmapOrigins)
+            for (int k = 0; k < 3000; ++k) {
+                const float tile = static_cast<float>(g.tile);
+                // Centers inside the tile, around it, and far from it.
+                const float lo = k % 3 == 0 ? 0.0f
+                                            : (k % 3 == 1 ? -tile
+                                                          : -20.0f * tile);
+                const float hi = tile - lo;
+                const Vec2 mean{o.x + rng.uniform(lo, hi),
+                                o.y + rng.uniform(lo, hi)};
+                // Radii from sub-pixel to several tiles.
+                const float r_hi = k % 4 == 0
+                                       ? 2.0f
+                                       : (k % 4 == 1
+                                              ? 2.0f * g.subtile
+                                              : (k % 4 == 2 ? 2.0f * tile
+                                                            : 1000.0f));
+                const float r = rng.uniform(0.0f, r_hi);
+                const SubtileBitmap want =
+                    fullScanBitmap(mean, r, o, g.tile, g.subtile);
+                ASSERT_EQ(subtileBitmap(mean, r, o, g.tile, g.subtile),
+                          want)
+                    << "mean (" << mean.x << ", " << mean.y << ") r " << r
+                    << " origin (" << o.x << ", " << o.y << ") tile "
+                    << g.tile << " subtile " << g.subtile;
+                hits += want != 0 && want != ~SubtileBitmap{0};
+                ++calls;
+            }
+    // Most draws must produce a partial bitmap, or the window is not
+    // being exercised.
+    EXPECT_GT(hits, calls / 4);
+}
+
+TEST(SubtileBitmapTest, BoundedScanEqualsFullScanOnExactTies)
+{
+    // Quarter-pixel centers and radii make the test's dx^2 + dy^2 <= r^2
+    // land exactly on its boundary for many subtiles: the window must
+    // keep every subtile the full scan passes on a tie.
+    const float radii[] = {0.0f, 0.25f, 1.0f, 2.5f, 4.0f, 7.75f, 8.0f,
+                           12.0f, 16.0f, 24.25f, 33.0f};
+    for (const BitmapGeometry &g : kBitmapGeometries)
+        for (const Vec2 o : {kBitmapOrigins[0], kBitmapOrigins[2]}) {
+            const float margin = 2.0f * g.subtile;
+            for (float dx = -margin; dx <= g.tile + margin; dx += 0.25f)
+                for (float dy = -margin; dy <= g.tile + margin;
+                     dy += 2.75f)
+                    for (float r : radii) {
+                        const Vec2 mean{o.x + dx, o.y + dy};
+                        ASSERT_EQ(
+                            subtileBitmap(mean, r, o, g.tile, g.subtile),
+                            fullScanBitmap(mean, r, o, g.tile, g.subtile))
+                            << "mean (" << mean.x << ", " << mean.y
+                            << ") r " << r << " tile " << g.tile
+                            << " subtile " << g.subtile;
+                    }
+        }
+}
+
+TEST(SubtileBitmapTest, BoundedScanEqualsFullScanOnNonFiniteAndHugeInputs)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float values[] = {nan,
+                            inf,
+                            -inf,
+                            std::numeric_limits<float>::lowest(),
+                            -1e30f,
+                            -70000.0f,
+                            -65536.0f,
+                            -65535.5f,
+                            -100.0f,
+                            -8.0f,
+                            -0.0f,
+                            0.0f,
+                            std::numeric_limits<float>::denorm_min(),
+                            3.5f,
+                            31.75f,
+                            64.0f,
+                            65535.5f,
+                            65536.0f,
+                            1e30f,
+                            std::numeric_limits<float>::max()};
+    const Vec2 origins[] = {{0.0f, 0.0f},
+                            {1216.0f, 704.0f},
+                            {65536.0f, 0.0f},
+                            {-1e30f, 64.0f},
+                            {nan, 0.0f}};
+    for (const BitmapGeometry &g : kBitmapGeometries)
+        for (const Vec2 o : origins)
+            for (float mx : values)
+                for (float my : values)
+                    for (float r : values) {
+                        const Vec2 mean{mx, my};
+                        ASSERT_EQ(
+                            subtileBitmap(mean, r, o, g.tile, g.subtile),
+                            fullScanBitmap(mean, r, o, g.tile, g.subtile))
+                            << "mean (" << mx << ", " << my << ") r " << r
+                            << " origin (" << o.x << ", " << o.y
+                            << ") tile " << g.tile << " subtile "
+                            << g.subtile;
+                    }
 }
 
 TEST(RasterizeTest, SingleGaussianColorsCenterPixel)

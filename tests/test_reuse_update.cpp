@@ -191,6 +191,124 @@ TEST(ReuseUpdateTest, ReportTableEntriesMatchesTables)
               sorter.tables().totalEntries());
 }
 
+/**
+ * The deferred depth update's marks, re-derived with the binary search of
+ * the tile's outgoing list that its mark table replaced. After a frame's
+ * merge every table entry is valid (the merge drops the entries marked
+ * the frame before), so an entry must be invalid exactly when the search
+ * finds its id, and outgoing_marked must count those entries. Returns
+ * the count.
+ */
+uint64_t
+expectMarksMatchBinarySearch(const ReuseUpdateSorter &sorter)
+{
+    const FrameDelta &delta = sorter.lastDelta();
+    uint64_t marked = 0;
+    for (size_t t = 0; t < sorter.tables().tileCount(); ++t) {
+        const std::vector<GaussianId> &out = delta.tiles[t].outgoing_ids;
+        for (const TileEntry &e : sorter.tables().table(t)) {
+            const bool hit = std::binary_search(out.begin(), out.end(), e.id);
+            EXPECT_EQ(e.valid, !hit) << "tile " << t << " id " << e.id;
+            marked += hit;
+        }
+    }
+    EXPECT_EQ(sorter.lastReport().outgoing_marked, marked);
+    return marked;
+}
+
+TEST(ReuseUpdateTest, MarkTableMarksWhatTheBinarySearchMarks)
+{
+    // One participant (threads == 1) reuses its mark table for every
+    // tile of every frame, so a mark left set by one tile would wrongly
+    // invalidate the same Gaussian in a later tile or frame; several
+    // participants each keep their own table.
+    GaussianScene scene = test::blobScene(600);
+    for (int threads : {1, 4}) {
+        ReuseUpdateSorter sorter;
+        sorter.setThreads(threads);
+        uint64_t marked = 0;
+        for (int f = 0; f < 8; ++f) {
+            sorter.beginFrame(frameAt(scene, 0.05f * static_cast<float>(f)),
+                              static_cast<uint64_t>(f));
+            marked += expectMarksMatchBinarySearch(sorter);
+        }
+        EXPECT_GT(marked, 0u) << "threads=" << threads;
+    }
+}
+
+TEST(ReuseUpdateTest, EmptyOutgoingListsMarkNothing)
+{
+    GaussianScene scene = test::blobScene(400);
+    ReuseUpdateSorter sorter;
+    BinnedFrame frame = frameAt(scene, 0.0f);
+    sorter.beginFrame(frame, 0); // cold start: no outgoing lists at all
+    EXPECT_EQ(expectMarksMatchBinarySearch(sorter), 0u);
+    sorter.beginFrame(frame, 1); // static view: every list is empty
+    EXPECT_EQ(sorter.lastDelta().outgoing_total, 0u);
+    EXPECT_EQ(expectMarksMatchBinarySearch(sorter), 0u);
+}
+
+TEST(ReuseUpdateTest, IdOutsideTheSceneIsMarkedByTheSearch)
+{
+    // Ids past the scene's range (as a bit flip can make them) lie beyond
+    // the mark table. Plant two in one tile's restored table: one that
+    // also sits in the tile's previous membership, so it leaves the tile
+    // this frame, and one that does not.
+    GaussianScene scene = test::blobScene(300);
+    ReuseUpdateSorter sorter;
+    BinnedFrame frame = frameAt(scene, 0.0f);
+    sorter.beginFrame(frame, 0);
+    std::vector<std::vector<TileEntry>> tables = sorter.tables().tables();
+    std::vector<std::vector<GaussianId>> prev = sorter.trackerPrevIds();
+    size_t tile = 0;
+    while (tables[tile].empty())
+        ++tile;
+    const GaussianId leaving = 1u << 30;
+    const GaussianId staying = (1u << 30) + 7;
+    tables[tile].push_back(TileEntry{leaving, 1.0f, true});
+    tables[tile].push_back(TileEntry{staying, 2.0f, true});
+    prev[tile].push_back(leaving); // still ascending
+    sorter.restore(std::move(tables), std::move(prev));
+
+    sorter.beginFrame(frame, 1);
+    EXPECT_EQ(expectMarksMatchBinarySearch(sorter), 1u);
+    int seen = 0;
+    for (const TileEntry &e : sorter.tables().table(tile)) {
+        if (e.id == leaving) {
+            EXPECT_FALSE(e.valid);
+            ++seen;
+        } else if (e.id == staying) {
+            EXPECT_TRUE(e.valid);
+            ++seen;
+        }
+    }
+    EXPECT_EQ(seen, 2);
+}
+
+TEST(ReuseUpdateTest, UnorderedOutgoingListIsMarkedByTheSearch)
+{
+    // A corrupted previous membership out of id order yields outgoing
+    // lists out of order, where a binary search finds only some members.
+    // The update must still mark exactly what that search finds.
+    GaussianScene scene = test::blobScene(400);
+    ReuseUpdateSorter sorter;
+    BinnedFrame frame = frameAt(scene, 0.0f);
+    sorter.beginFrame(frame, 0);
+    std::vector<std::vector<TileEntry>> tables = sorter.tables().tables();
+    std::vector<std::vector<GaussianId>> prev = sorter.trackerPrevIds();
+    for (std::vector<GaussianId> &ids : prev)
+        std::reverse(ids.begin(), ids.end());
+    sorter.restore(std::move(tables), std::move(prev));
+
+    sorter.beginFrame(frame, 1);
+    bool unordered = false;
+    for (const TileDelta &td : sorter.lastDelta().tiles)
+        unordered = unordered || !std::is_sorted(td.outgoing_ids.begin(),
+                                                 td.outgoing_ids.end());
+    ASSERT_TRUE(unordered);
+    expectMarksMatchBinarySearch(sorter);
+}
+
 TEST(ReuseUpdateTest, NameAndConfigExposed)
 {
     DynamicPartialConfig cfg;
