@@ -7,9 +7,9 @@
 # named marker loop is reported "loop vectorized":
 #
 #   src/gs/raster.cpp
-#     1. the fused conic-power + block-retire pass of blendBlocked
+#     1. the conic-power plane of blendBlocked
 #        (the line computing `power = conicPower(...)`);
-#     2. the survivor exp batch loop
+#     2. the fast_exp survivor batch loop
 #        (the line writing `sexp[i] = fastExpNegativeLane(...)`);
 #     and at least MIN_VECTORIZED_RASTER loops overall.
 #   src/core/delta_tracker.cpp

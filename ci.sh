@@ -40,13 +40,13 @@
 #                 determinism checks) plus test_parallel (the scheduler's
 #                 shared claim cursor) under ThreadSanitizer.
 #   NEO_BENCH_JSON        output trajectory point
-#                         (default: BENCH_PR19_scaling.json)
+#                         (default: BENCH_PR21_scaling.json)
 #   NEO_BENCH_BASELINE    previous trajectory point
-#                         (default: BENCH_PR18_scaling.json, recorded on a
-#                         4-core box; its BENCH_PR18_scaling_integrity.json
-#                         and BENCH_PR18.json siblings are the matching
+#                         (default: BENCH_PR20_scaling.json, recorded on a
+#                         4-core box; its BENCH_PR20_scaling_integrity.json
+#                         and BENCH_PR20.json siblings are the matching
 #                         check-mode and serving-layer reference points)
-#   NEO_BENCH_SERVER_JSON serving-layer sweep output (default: BENCH_PR19.json)
+#   NEO_BENCH_SERVER_JSON serving-layer sweep output (default: BENCH_PR21.json)
 set -euo pipefail
 
 cd "$(dirname "$0")"
@@ -54,9 +54,9 @@ cd "$(dirname "$0")"
 BUILD_DIR="${BUILD_DIR:-build}"
 BUILD_TYPE="${BUILD_TYPE:-}"
 JOBS="${JOBS:-$(nproc)}"
-NEO_BENCH_JSON="${NEO_BENCH_JSON:-BENCH_PR19_scaling.json}"
-NEO_BENCH_BASELINE="${NEO_BENCH_BASELINE:-BENCH_PR18_scaling.json}"
-NEO_BENCH_SERVER_JSON="${NEO_BENCH_SERVER_JSON:-BENCH_PR19.json}"
+NEO_BENCH_JSON="${NEO_BENCH_JSON:-BENCH_PR21_scaling.json}"
+NEO_BENCH_BASELINE="${NEO_BENCH_BASELINE:-BENCH_PR20_scaling.json}"
+NEO_BENCH_SERVER_JSON="${NEO_BENCH_SERVER_JSON:-BENCH_PR21.json}"
 
 cmake -B "$BUILD_DIR" -S . -DNEO_WERROR=ON \
     ${BUILD_TYPE:+-DCMAKE_BUILD_TYPE="$BUILD_TYPE"} "$@"
@@ -321,7 +321,7 @@ if [[ "${NEO_CI_BENCH:-0}" == "1" ]]; then
         # file.
         echo "ci.sh: running multi-session serving bench"
         if ! "$BUILD_DIR/bench/bench_server" --json "$NEO_BENCH_SERVER_JSON" \
-             --pr "${NEO_BENCH_PR:-19}" --net --checkpoint; then
+             --pr "${NEO_BENCH_PR:-21}" --net --checkpoint; then
             echo "ci.sh: FAIL — serving bench failed (isolation contract" \
                  "or crash)" >&2
             exit 1

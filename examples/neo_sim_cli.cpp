@@ -14,15 +14,16 @@
  *
  * Numeric flags must be whole numbers in range (--frames 1..100000,
  * --speed (0, 64], --bandwidth (0, 1e6] GB/s, --scale (0, 4],
- * --threads -1..256); anything else, an unknown flag, or a flag given
- * without its value prints the usage line and exits 2.
+ * --threads -1..256), and --system and --res must name a listed choice;
+ * anything else, an unknown flag, or a flag given without its value
+ * prints the usage line and exits 2 before any work (no extraction, no
+ * cache file).
  */
 
 #include <cstddef>
 #include <cstdio>
 #include <string>
 
-#include "common/logging.h"
 #include "common/parallel.h"
 #include "example_args.h"
 #include "sim/gpu_model.h"
@@ -45,25 +46,13 @@ struct Args
 {
     std::string scene = "Family";
     std::string system = "neo";
-    std::string res = "qhd";
+    Resolution res = kResQHD;
     int frames = 8;
     float speed = 1.0f;
     double bandwidth = 51.2;
     double scale = 1.0;
     int threads = 0;
 };
-
-Resolution
-parseRes(const std::string &r)
-{
-    if (r == "hd")
-        return kResHD;
-    if (r == "fhd")
-        return kResFHD;
-    if (r == "qhd")
-        return kResQHD;
-    fatal("unknown resolution '%s' (hd|fhd|qhd)", r.c_str());
-}
 
 Args
 parse(int argc, char **argv)
@@ -79,11 +68,23 @@ parse(int argc, char **argv)
         };
         if (k == "--scene")
             a.scene = value();
-        else if (k == "--system")
+        else if (k == "--system") {
             a.system = value();
-        else if (k == "--res")
-            a.res = value();
-        else if (k == "--frames")
+            if (a.system != "orin" && a.system != "gscore" &&
+                a.system != "neo")
+                num.reject("--system is not orin|gscore|neo:",
+                           a.system.c_str());
+        } else if (k == "--res") {
+            const std::string r = value();
+            if (r == "hd")
+                a.res = kResHD;
+            else if (r == "fhd")
+                a.res = kResFHD;
+            else if (r == "qhd")
+                a.res = kResQHD;
+            else
+                num.reject("--res is not hd|fhd|qhd:", r.c_str());
+        } else if (k == "--frames")
             a.frames = static_cast<int>(
                 num.integer("--frames", value(), 1, 100000));
         else if (k == "--speed")
@@ -107,8 +108,8 @@ parse(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    Args args = parse(argc, argv);
-    Resolution res = parseRes(args.res);
+    const Args args = parse(argc, argv);
+    const Resolution res = args.res;
     const int tile_px = args.system == "neo" ? 64 : 16;
 
     WorkloadKey key{args.scene, args.scale, res, tile_px, args.frames,
@@ -127,13 +128,10 @@ main(int argc, char **argv)
         GscoreConfig cfg;
         cfg.dram.bandwidth_gbps = args.bandwidth;
         result = simulateGscore(GscoreModel(cfg), seq);
-    } else if (args.system == "neo") {
+    } else { // "neo"; parse() refused every other name
         NeoConfig cfg;
         cfg.dram.bandwidth_gbps = args.bandwidth;
         result = simulateNeo(NeoModel(cfg), seq);
-    } else {
-        fatal("unknown system '%s' (orin|gscore|neo)",
-              args.system.c_str());
     }
 
     std::printf("%s on %s @ %s, %.1f GB/s, speed x%.1f, scale %.2f\n",

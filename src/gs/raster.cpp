@@ -11,120 +11,20 @@
 #include "common/frame_arena.h"
 #include "common/integrity.h"
 #include "common/logging.h"
+#include "gs/raster_masks.h"
 
 namespace neo
 {
 
-namespace
-{
-
-/**
- * Magnitude below which subtileBitmap's inputs take the bounded scan.
- * Under 2^16 a float's spacing is at most 2^-7 px, so the rounding of
- * every quantity the window and the test are built from is far below
- * the one-subtile window margin.
- */
-constexpr float kBoundedScanLimit = 65536.0f;
-
-/** One tile's subtile layout: what subtileBitmap needs that does not
-    depend on the Gaussian, set up once per tile. */
-struct SubtileGrid
-{
-    Vec2 origin;
-    int subtile_size;
-    int subtiles; //!< per side
-    float step;
-    float inv_step;
-    /** The tile qualifies for the bounded scan: an integral origin, so
-        every subtile edge is an exact integer, and small magnitudes. */
-    bool bounded;
-
-    SubtileGrid(Vec2 tile_origin, int tile_size, int subtile)
-        : origin(tile_origin), subtile_size(subtile),
-          subtiles(tile_size / subtile), step(static_cast<float>(subtile)),
-          inv_step(1.0f / step),
-          bounded(std::fabs(origin.x) < kBoundedScanLimit &&
-                  std::fabs(origin.y) < kBoundedScanLimit &&
-                  static_cast<float>(tile_size) < kBoundedScanLimit &&
-                  origin.x == std::floor(origin.x) &&
-                  origin.y == std::floor(origin.y))
-    {
-    }
-
-    /**
-     * Subtile index range [lo, hi] (clamped to [0, subtiles)) within
-     * one subtile of the footprint interval [c - reach, c + reach] along
-     * the axis whose subtiles start at @p o.
-     */
-    void window(float c, float reach, float o, int &lo, int &hi) const
-    {
-        lo = std::max(
-            0, static_cast<int>(std::floor((c - reach - o) * inv_step)) - 1);
-        hi = std::min(
-            subtiles - 1,
-            static_cast<int>(std::floor((c + reach - o) * inv_step)) + 1);
-    }
-};
-
-/** subtileBitmap over a prepared tile layout (see raster.h). */
-SubtileBitmap
-subtileBitmapIn(const SubtileGrid &grid, Vec2 mean2d, float radius_px)
-{
-    const int subtiles = grid.subtiles;
-    const float step = grid.step;
-    const float r2 = radius_px * radius_px;
-
-    // Window of subtiles that can pass. The test below passes only if
-    // the rounded dx * dx is <= r2 (dy2 >= 0 and rounding is monotone).
-    // On a bounded tile with finite inputs below kBoundedScanLimit that
-    // bounds a passing subtile's distance to the center along x by
-    // |r| + 1/64 px (every subtile edge is an exact integer), and
-    // likewise along y. The window's one-subtile margin covers that plus
-    // the rounding of its own floor arguments (< 0.1 subtile), so every
-    // subtile outside it fails the test and its bit stays 0, exactly as
-    // in the full scan. Other inputs (NaN, infinities, larger
-    // magnitudes, a fractional tile origin) scan all subtiles.
-    int sx_lo = 0, sx_hi = subtiles - 1, sy_lo = 0, sy_hi = subtiles - 1;
-    float x_lo = grid.origin.x;
-    float y0 = grid.origin.y;
-    const float reach = std::fabs(radius_px);
-    if (grid.bounded && std::fabs(mean2d.x) < kBoundedScanLimit &&
-        std::fabs(mean2d.y) < kBoundedScanLimit &&
-        reach < kBoundedScanLimit) {
-        grid.window(mean2d.x, reach, grid.origin.x, sx_lo, sx_hi);
-        grid.window(mean2d.y, reach, grid.origin.y, sy_lo, sy_hi);
-        // The full scan reaches these edges by exact repeated addition.
-        x_lo += static_cast<float>(sx_lo * grid.subtile_size);
-        y0 += static_cast<float>(sy_lo * grid.subtile_size);
-    }
-
-    SubtileBitmap bitmap = 0;
-    for (int sy = sy_lo; sy <= sy_hi; ++sy, y0 += step) {
-        // Closest point of the subtile rectangle to the Gaussian center;
-        // the y term is constant across the inner row.
-        const float cy = clamp(mean2d.y, y0, y0 + step);
-        const float dy = cy - mean2d.y;
-        const float dy2 = dy * dy;
-        float x0 = x_lo;
-        for (int sx = sx_lo; sx <= sx_hi; ++sx, x0 += step) {
-            float cx = clamp(mean2d.x, x0, x0 + step);
-            float dx = cx - mean2d.x;
-            // Branch-free: which subtiles pass is data-dependent.
-            bitmap |= static_cast<SubtileBitmap>(dx * dx + dy2 <= r2)
-                      << (sy * subtiles + sx);
-        }
-    }
-    return bitmap;
-}
-
-} // namespace
+using raster_masks::SubtileEdges;
 
 SubtileBitmap
 subtileBitmap(Vec2 mean2d, float radius_px, Vec2 tile_origin, int tile_size,
               int subtile_size)
 {
-    return subtileBitmapIn(SubtileGrid(tile_origin, tile_size, subtile_size),
-                           mean2d, radius_px);
+    return raster_masks::subtileBits(
+        SubtileEdges(tile_origin, tile_size, subtile_size), mean2d,
+        radius_px);
 }
 
 float
@@ -242,54 +142,6 @@ blendReference(const std::vector<TileEntry> &entries,
 }
 
 /**
- * Subtile-blocked blend kernel. Instead of scanning every tile pixel for
- * every Gaussian, the tile's valid entries are bucketed per subtile
- * (CSR, driven by the phase-1 bitmaps) and each subtile's pixel block is
- * blended to completion in contiguous SoA planes:
- *
- *  1. the @p active covering Gaussians arrive compacted into per-field
- *     arrays (front-to-back order preserved) by rasterizeTile's ITU pass,
- *     which gathered each entry's features once; the CSR buckets are
- *     built from their compacted bitmaps;
- *  2. per block and Gaussian, a survivor-batched pipeline replaces the
- *     historical test->exp->blend pixel loop:
- *       a. one vectorizable pass evaluates the conic power for all block
- *          pixels from precomputed pixel-center coordinates (no divides,
- *          no bitmap tests in the inner loop);
- *       b. a branch-free compaction gathers the indices and powers of
- *          the pixels that reach the exp — inside the log-domain
- *          threshold cut and not yet saturated — into a dense survivor
- *          list;
- *       c. the falloff exp is evaluated over the whole survivor batch in
- *          one contiguous loop: with fast_exp the branchless
- *          fastExpNegativeLane polynomial over lists tail-padded with
- *          neutral lanes to a kSurvivorExpBatch multiple (fixed-width
- *          groups, no scalar epilogue — the SIMD target of
- *          bench/check_vectorization.sh), otherwise std::exp over the
- *          same dense list;
- *       d. alpha/transmittance/color blends apply in survivor order.
- *  3. a per-block live counter retires all remaining Gaussians at once
- *     when every pixel of the block has saturated.
- *
- * Per-pixel blend order and arithmetic are exactly those of
- * blendReference — a pixel's result depends only on the ordered set of
- * Gaussians covering its subtile, which the buckets preserve, and the
- * survivor list keeps ascending pixel order with each pixel appearing at
- * most once per Gaussian, so splitting the test from the blend cannot
- * reorder or change any float operation — and pixels and stats come out
- * bit-identical (the done[] test is replaced by the equivalent
- * transmittance < cutoff predicate, applied at compaction time).
- *
- * Integrity: with an enabled context, the CSR bucket bounds are fenced
- * right after the scatter (digest recomputation plus monotonicity /
- * bounds invariants). A corrupted CSR cannot be consumed safely — its
- * bounds index the bucket array — so on mismatch the function records
- * the fault and returns false *before any pixel write*; the caller then
- * blends the tile through the scalar reference path, which depends only
- * on the (separately fenced) tile entry list and produces bit-identical
- * pixels. Returns true when the tile was blended here.
- */
-/**
  * Grow every compacted-Gaussian array of @p scr to hold @p n entries.
  * Never shrinks, so a warm worker resizes nothing; the arrays' sizes are
  * capacities and the tile's compacted count travels separately.
@@ -374,6 +226,70 @@ compactGaussian(const BinnedFrame &frame, int32_t slot, SubtileBitmap bm,
     scr.gauss_dy_bound_sq[j] = dy_bound_sq;
 }
 
+/**
+ * Calls @p f(p) for every set bit p of @p words [w_lo, w_hi), in
+ * ascending order (bit p & 63 of word p >> 6 is pixel p).
+ */
+template <typename F>
+inline void
+forEachBit(const uint64_t *words, int w_lo, int w_hi, F &&f)
+{
+    for (int w = w_lo; w < w_hi; ++w)
+        for (uint64_t bits = words[w]; bits; bits &= bits - 1)
+            f((w << 6) + std::countr_zero(bits));
+}
+
+/**
+ * Subtile-blocked blend kernel. Instead of scanning every tile pixel for
+ * every Gaussian, the tile's valid entries are bucketed per subtile
+ * (CSR, driven by the phase-1 bitmaps) and each subtile's pixel block is
+ * blended to completion in contiguous SoA planes:
+ *
+ *  1. the @p active covering Gaussians arrive compacted into per-field
+ *     arrays (front-to-back order preserved) by rasterizeTile's ITU pass,
+ *     which gathered each entry's features once; the CSR buckets are
+ *     built from their compacted bitmaps;
+ *  2. per block and Gaussian, a mask pipeline replaces the historical
+ *     test->exp->blend pixel loop:
+ *       a. the ellipse-extent prune: the nearest column decides whether
+ *          the block can hold a survivor at all, and one row mask
+ *          (raster_masks::rowMask) bounds the rows to evaluate by its
+ *          first and last set bits;
+ *       b. one vectorizable pass evaluates the conic power for the
+ *          pixels of those rows from precomputed pixel-center
+ *          coordinates (no divides, no bitmap tests in the inner loop);
+ *       c. one SIMD pass (raster_masks::survivorMask) turns the pixels
+ *          that reach the exp — inside the log-domain threshold cut, not
+ *          above zero and not yet saturated — into survivor mask words,
+ *          one bit per pixel and one word per 64 pixels;
+ *       d. the blend walks the set bits in ascending order. The exact
+ *          path evaluates std::exp per bit; with fast_exp the bits first
+ *          pack the survivors' powers into a dense list tail-padded with
+ *          neutral lanes to a kSurvivorExpBatch multiple, and the
+ *          branchless fastExpNegativeLane polynomial runs over it in
+ *          fixed-width groups, no scalar epilogue (the SIMD target of
+ *          bench/check_vectorization.sh);
+ *  3. a per-block live counter retires all remaining Gaussians at once
+ *     when every pixel of the block has saturated.
+ *
+ * Per-pixel blend order and arithmetic are exactly those of
+ * blendReference — a pixel's result depends only on the ordered set of
+ * Gaussians covering its subtile, which the buckets preserve, and the
+ * bit walk visits each pixel at most once per Gaussian, in ascending
+ * order, so splitting the test from the blend cannot reorder or change
+ * any float operation — and pixels and stats come out bit-identical (the
+ * done[] test is replaced by the equivalent transmittance < cutoff
+ * predicate, applied in the mask).
+ *
+ * Integrity: with an enabled context, the CSR bucket bounds are fenced
+ * right after the scatter (digest recomputation plus monotonicity /
+ * bounds invariants). A corrupted CSR cannot be consumed safely — its
+ * bounds index the bucket array — so on mismatch the function records
+ * the fault and returns false *before any pixel write*; the caller then
+ * blends the tile through the scalar reference path, which depends only
+ * on the (separately fenced) tile entry list and produces bit-identical
+ * pixels. Returns true when the tile was blended here.
+ */
 bool
 blendBlocked(uint32_t active, const RasterConfig &cfg, Image *image,
              RasterScratch &scr, RasterStats &stats, int px0, int py0, int w,
@@ -436,16 +352,18 @@ blendBlocked(uint32_t active, const RasterConfig &cfg, Image *image,
         integrity->noteCheck();
     }
 
-    scr.block_power.resize(block_cap);
-    scr.block_t.resize(block_cap);
-    scr.block_r.resize(block_cap);
-    scr.block_g.resize(block_cap);
-    scr.block_b.resize(block_cap);
-    scr.block_cx.resize(block_cap);
-    scr.block_cy.resize(block_cap);
-    // Survivor batch, with slack for the neutral tail padding.
-    scr.surv_idx.resize(block_cap + kSurvivorExpBatch);
-    scr.surv_pow.resize(block_cap + kSurvivorExpBatch);
+    // The pixel planes are padded to whole 64-pixel mask words, so the
+    // survivor mask's 4-pixel groups never read past them.
+    const size_t plane = (block_cap + 63) & ~size_t{63};
+    scr.block_power.resize(plane);
+    scr.block_t.resize(plane);
+    scr.block_r.resize(plane);
+    scr.block_g.resize(plane);
+    scr.block_b.resize(plane);
+    scr.block_cx.resize(plane);
+    scr.block_cy.resize(plane);
+    scr.block_mask.resize(plane / 64);
+    // Survivor exp batch, with slack for the neutral tail padding.
     scr.surv_exp.resize(block_cap + kSurvivorExpBatch);
 
     const int sub_cols = (w + sub - 1) / sub;
@@ -493,9 +411,8 @@ blendBlocked(uint32_t active, const RasterConfig &cfg, Image *image,
             float *const __restrict br = scr.block_r.data();
             float *const __restrict bg = scr.block_g.data();
             float *const __restrict bb = scr.block_b.data();
-            uint32_t *const __restrict sidx = scr.surv_idx.data();
-            float *const __restrict spow = scr.surv_pow.data();
             float *const __restrict sexp = scr.surv_exp.data();
+            uint64_t *const words = scr.block_mask.data();
             const float cx0f = static_cast<float>(px0 + x0) + 0.5f;
             const float cy0f = static_cast<float>(py0 + y0) + 0.5f;
             std::fill_n(bt, npix, 1.0f);
@@ -521,115 +438,56 @@ blendBlocked(uint32_t active, const RasterConfig &cfg, Image *image,
                 // circle. The conservative squared half-extents bound
                 // which pixels can reach the cut: first the nearest
                 // column decides whether the block can contain a
-                // survivor at all, then the row scan narrows the pixel
-                // range to the rows the cut ellipse touches — all
-                // before any power is evaluated. Every comparison is
-                // written so NaN keeps the pixel (prune only on a
-                // provable miss).
+                // survivor at all, then the row mask's first and last
+                // set bits narrow the pixel range to the rows the cut
+                // ellipse touches — all before any power is evaluated.
+                // Every comparison is written so NaN keeps the pixel
+                // (prune only on a provable miss).
                 const float dxn =
                     clamp(mx, cx0f,
                           cx0f + static_cast<float>(bw - 1)) -
                     mx;
                 if (dxn * dxn > scr.gauss_dx_bound_sq[g])
                     continue; // no column can reach the cut
-                const float dy_bsq = scr.gauss_dy_bound_sq[g];
-                int by_lo = 0;
-                while (by_lo < bh) {
-                    const float dy =
-                        (cy0f + static_cast<float>(by_lo)) - my;
-                    if (!(dy * dy > dy_bsq))
-                        break;
-                    ++by_lo;
-                }
-                if (by_lo == bh)
+                const uint64_t rows = raster_masks::rowMask(
+                    cy0f, my, scr.gauss_dy_bound_sq[g], bh);
+                if (!rows)
                     continue; // no row can reach the cut
-                int by_hi = bh - 1;
-                while (by_hi > by_lo) {
-                    const float dy =
-                        (cy0f + static_cast<float>(by_hi)) - my;
-                    if (!(dy * dy > dy_bsq))
-                        break;
-                    --by_hi;
-                }
-                const int p_lo = by_lo * bw;
-                const int p_hi = (by_hi + 1) * bw;
+                const int p_lo = std::countr_zero(rows) * bw;
+                const int p_hi = (64 - std::countl_zero(rows)) * bw;
 
                 // Conic power for every candidate pixel: contiguous
                 // streams, no branches — an auto-vectorization target
-                // (see bench/check_vectorization.sh). The same pass
-                // OR-folds the block-level retire predicate for the
-                // rows that survived the extent prune; NaN powers
-                // conservatively read as reaching (!(NaN < cut) is
-                // true), exactly like the per-pixel test below.
-                unsigned any_reach = 0;
+                // (see bench/check_vectorization.sh).
                 for (int p = p_lo; p < p_hi; ++p) {
                     const float dx = cx[p] - mx;
                     const float dy = cy[p] - my;
                     const float power = conicPower(ca, cb, cc, dx, dy);
                     pw[p] = power;
-                    any_reach |= static_cast<unsigned>(!(power < cut));
                 }
-                if (!any_reach)
+
+                // Survivor mask: the pixels that reach the exp. Below
+                // the cut alpha cannot reach the threshold; above zero
+                // the falloff is defined as 0; a saturated pixel (== the
+                // reference's done[] test) never blends. NaN fails every
+                // < / > test and so survives, flowing through the exact
+                // path as in the reference.
+                if (!raster_masks::survivorMask(pw, bt, p_lo, p_hi, cut,
+                                                cfg.transmittance_cutoff,
+                                                words))
                     continue;
+                const int w_lo = p_lo >> 6;
+                const int w_hi = (p_hi + 63) >> 6;
 
-                // Survivor compaction: gather the pixels that reach the
-                // exp. Below the cut alpha cannot reach the threshold;
-                // above zero the falloff is defined as 0; a saturated
-                // pixel (== the reference's done[] test) never blends.
-                // NaN fails every < / > test and so survives, flowing
-                // through the exact path as in the reference. The write
-                // is unconditional and the index advances by the
-                // predicate — no branch to mispredict, and each pixel
-                // appears at most once, in ascending order.
-                uint32_t n_surv = 0;
-                for (int p = p_lo; p < p_hi; ++p) {
-                    const float power = pw[p];
-                    const unsigned keep =
-                        static_cast<unsigned>(!(power < cut)) &
-                        static_cast<unsigned>(!(power > 0.0f)) &
-                        static_cast<unsigned>(
-                            !(bt[p] < cfg.transmittance_cutoff));
-                    sidx[n_surv] = static_cast<uint32_t>(p);
-                    spow[n_surv] = power;
-                    n_surv += keep;
-                }
-                if (n_surv == 0)
-                    continue;
-
-                // Falloff exp across the whole survivor batch. The fast
-                // path pads the tail with neutral lanes up to a
-                // kSurvivorExpBatch multiple, so the polynomial loop
-                // runs whole fixed-width groups — the auto-vectorization
-                // target (see bench/check_vectorization.sh). The exact
-                // path calls std::exp over the same dense list (scalar,
-                // but with the test branches already resolved).
-                if (cfg.fast_exp) {
-                    const uint32_t n_pad =
-                        (n_surv + kSurvivorExpBatch - 1) &
-                        ~(kSurvivorExpBatch - 1);
-                    for (uint32_t i = n_surv; i < n_pad; ++i)
-                        spow[i] = -1.0f;
-                    // One flat loop over the padded batch: GCC 12
-                    // vectorizes this form, but not a nested
-                    // fixed-width-inner version (the unrolled inner
-                    // body defeats its data-ref analysis).
-                    for (uint32_t i = 0; i < n_pad; ++i)
-                        sexp[i] = fastExpNegativeLane(spow[i]);
-                } else {
-                    for (uint32_t i = 0; i < n_surv; ++i)
-                        sexp[i] = std::exp(spow[i]);
-                }
-
-                // Blend in survivor order — identical per-pixel float
-                // sequence as the historical fused loop, only the
-                // already-false tests are gone.
+                // Blend the set bits in ascending pixel order — the
+                // identical per-pixel float sequence as the historical
+                // fused loop, only the already-false tests are gone.
                 const Vec3 color = scr.gauss_color[g];
                 uint64_t ops = 0;
-                for (uint32_t i = 0; i < n_surv; ++i) {
-                    const uint32_t p = sidx[i];
-                    float alpha = opacity * sexp[i];
+                const auto blendPixel = [&](int p, float falloff) {
+                    float alpha = opacity * falloff;
                     if (alpha < cfg.alpha_threshold)
-                        continue;
+                        return;
                     alpha = std::min(alpha, cfg.alpha_max);
                     ++ops;
                     const float t = bt[p];
@@ -643,6 +501,35 @@ blendBlocked(uint32_t active, const RasterConfig &cfg, Image *image,
                         --live;
                         ++stats.pixels_terminated;
                     }
+                };
+                if (cfg.fast_exp) {
+                    // Pack the survivors' powers dense and pad the tail
+                    // with neutral lanes up to a kSurvivorExpBatch
+                    // multiple, so the polynomial loop runs whole
+                    // fixed-width groups in place — the
+                    // auto-vectorization target (see
+                    // bench/check_vectorization.sh).
+                    uint32_t n_surv = 0;
+                    forEachBit(words, w_lo, w_hi,
+                               [&](int p) { sexp[n_surv++] = pw[p]; });
+                    const uint32_t n_pad =
+                        (n_surv + kSurvivorExpBatch - 1) &
+                        ~(kSurvivorExpBatch - 1);
+                    for (uint32_t i = n_surv; i < n_pad; ++i)
+                        sexp[i] = -1.0f;
+                    // One flat loop over the padded batch: GCC 12
+                    // vectorizes this form, but not a nested
+                    // fixed-width-inner version (the unrolled inner
+                    // body defeats its data-ref analysis).
+                    for (uint32_t i = 0; i < n_pad; ++i)
+                        sexp[i] = fastExpNegativeLane(sexp[i]);
+                    uint32_t i = 0;
+                    forEachBit(words, w_lo, w_hi,
+                               [&](int p) { blendPixel(p, sexp[i++]); });
+                } else {
+                    forEachBit(words, w_lo, w_hi, [&](int p) {
+                        blendPixel(p, std::exp(pw[p]));
+                    });
                 }
                 stats.blend_ops += ops;
                 if (live == 0)
@@ -675,9 +562,9 @@ rasterizeTile(const std::vector<TileEntry> &entries, const BinnedFrame &frame,
     const TileGrid &grid = frame.grid;
     const Vec2 origin = grid.tileOrigin(tile);
     const int tile_size = grid.tile_size;
-    const int subtiles = tile_size / cfg.subtile_size;
-    if (subtiles * subtiles > 64)
-        panic("rasterizeTile: more than 64 subtiles per tile");
+    // Panics past 64 subtiles per tile (the bitmap is one word).
+    const SubtileEdges edges(origin, tile_size, cfg.subtile_size);
+    const int subtiles = edges.subtiles;
 
     const size_t n = entries.size();
     stats.gaussians_in = n;
@@ -698,8 +585,11 @@ rasterizeTile(const std::vector<TileEntry> &entries, const BinnedFrame &frame,
     const int w = image ? std::min(tile_size, image->width() - px0) : 0;
     const int h = image ? std::min(tile_size, image->height() - py0) : 0;
     const bool blend = w > 0 && h > 0;
+    // The blocked kernel's row mask is one word: subtiles of at most 64
+    // rows (any larger block takes the bit-identical reference blend).
     const bool blocked = blend && soa && !cfg.reference_path &&
-                         tile_size % cfg.subtile_size == 0;
+                         tile_size % cfg.subtile_size == 0 &&
+                         cfg.subtile_size <= 64;
 
     // Phase 1 (ITU): one walk over the entries resolves each slot once
     // and computes its subtile bitmap and valid bit. On the blocked path
@@ -714,7 +604,6 @@ rasterizeTile(const std::vector<TileEntry> &entries, const BinnedFrame &frame,
     bitmaps.resize(n);
     if (blocked)
         reserveCompacted(scr, n);
-    const SubtileGrid sub_grid(origin, tile_size, cfg.subtile_size);
     const float log_threshold = std::log(cfg.alpha_threshold);
     uint32_t active = 0;
     for (size_t i = 0; i < n; ++i) {
@@ -736,7 +625,7 @@ rasterizeTile(const std::vector<TileEntry> &entries, const BinnedFrame &frame,
                               : frame.features[slot].mean2d;
         const float radius = soa ? frame.radius_px[slot]
                                  : frame.features[slot].radius_px;
-        const SubtileBitmap bm = subtileBitmapIn(sub_grid, mean, radius);
+        const SubtileBitmap bm = raster_masks::subtileBits(edges, mean, radius);
         bitmaps[i] = bm;
         stats.intersection_tests +=
             static_cast<uint64_t>(subtiles) * subtiles;
@@ -784,7 +673,7 @@ estimateTileBlendOps(const std::vector<TileEntry> &entries,
     // opacity * E[falloff] with E[falloff] ~= 0.45 for a 3-sigma splat.
     constexpr double kMeanFalloff = 0.45;
     const bool soa = frame.hasFeatureArrays();
-    const SubtileGrid sub_grid(origin, tile_size, cfg.subtile_size);
+    const SubtileEdges edges(origin, tile_size, cfg.subtile_size);
     double transmittance = 1.0;
     double blend_ops = 0.0;
     for (const TileEntry &e : entries) {
@@ -795,8 +684,8 @@ estimateTileBlendOps(const std::vector<TileEntry> &entries,
         const int32_t slot = frame.slotOf(e.id);
         const float opacity =
             soa ? frame.opacity[slot] : frame.features[slot].opacity;
-        SubtileBitmap bm = subtileBitmapIn(
-            sub_grid, soa ? frame.mean2d[slot] : frame.features[slot].mean2d,
+        SubtileBitmap bm = raster_masks::subtileBits(
+            edges, soa ? frame.mean2d[slot] : frame.features[slot].mean2d,
             soa ? frame.radius_px[slot] : frame.features[slot].radius_px);
         if (!bm)
             continue;

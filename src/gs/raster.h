@@ -9,15 +9,18 @@
  * computed (the Intersection Test Unit in hardware), and per-pixel work is
  * skipped for subtiles the Gaussian does not touch. The cumulative OR of
  * the bitmaps yields the valid bit Neo uses to flag outgoing Gaussians.
+ * The bitmap test is separable: a squared distance per subtile column and
+ * per subtile row, then one SIMD compare per row (gs/raster_masks.h).
  *
  * Two software implementations of the blend phase share that contract:
  *
  *  - the **subtile-blocked kernel** (default): entries are bucketed per
  *    subtile from the bitmaps, and each subtile's pixel block is blended
- *    to completion in contiguous SoA scratch planes through a survivor-
- *    batched pipeline — vectorized conic-power plane, survivor
- *    compaction, a batched branchless exp over the dense survivor list,
- *    then blending in survivor order (see raster.cpp);
+ *    to completion in contiguous SoA scratch planes through a mask
+ *    pipeline — a row mask from the ellipse-extent prune, a vectorized
+ *    conic-power plane, one SIMD pass that turns it into a survivor
+ *    bitmask (one bit per pixel, one word per 64 pixels), then a blend
+ *    that walks the set bits in ascending order (see raster.cpp);
  *  - the **scalar reference** (RasterConfig::reference_path): the
  *    historical Gaussian-major full-tile scan, kept for A/B testing.
  *
@@ -96,16 +99,14 @@ using SubtileBitmap = uint64_t;
 
 /**
  * Intersection Test Unit model: conservative test of a Gaussian footprint
- * (screen center + radius) against every subtile of a tile. This SoA form
- * is the hot path; the squared radius is hoisted out of the loop and the
- * subtile origins advance incrementally (both exact in float, since all
- * quantities involved are small integers).
- *
- * The per-subtile float test runs only on the subtiles within one
- * subtile of the footprint's bounding square (a footprint typically
- * touches 2-3 of the 64); every other subtile provably fails it (see
- * raster.cpp), so the bitmap equals the full 64-subtile scan bit for bit.
- * Non-finite or very large inputs take the full scan.
+ * (screen center + radius) against every subtile of a tile. A subtile
+ * passes when its closest point to the center lies within the radius,
+ * dx^2 + dy^2 <= r^2. The test is separable: dx^2 is computed once per
+ * subtile column and dy^2 once per row, with the subtile edges stepped
+ * by repeated addition from the tile origin, and each row's bits come
+ * from one SIMD compare across all columns (raster_masks::subtileBits).
+ * These are the float operations of the plain per-subtile double loop,
+ * operand for operand, so the bitmap equals it for every input.
  */
 SubtileBitmap subtileBitmap(Vec2 mean2d, float radius_px, Vec2 tile_origin,
                             int tile_size, int subtile_size);
@@ -133,10 +134,10 @@ float fastExpNegative(float x);
 constexpr float kFastExpMaxRelError = 2e-6f;
 
 /**
- * Lane width (floats) the survivor exp batch is padded to: the blocked
- * kernel rounds each survivor list up to a multiple of this with neutral
- * lanes, so the batch loop runs whole fixed-width groups and the
- * compiler vectorizes it without a scalar epilogue.
+ * Lane width (floats) the fast_exp survivor batch is padded to: the
+ * blocked kernel rounds each dense survivor list up to a multiple of
+ * this with neutral lanes, so the batch loop runs whole fixed-width
+ * groups and the compiler vectorizes it without a scalar epilogue.
  */
 constexpr uint32_t kSurvivorExpBatch = 8;
 
@@ -145,7 +146,7 @@ constexpr uint32_t kSurvivorExpBatch = 8;
  * on the function's whole specified domain — x <= 0 (including -0.0,
  * denormals and -inf) and NaN — which is asserted exhaustively by
  * tests; that is also the only domain the survivor batch can produce
- * (the compaction predicate rejects positive powers). Written so the
+ * (the survivor mask rejects positive powers). Written so the
  * exp batch loop of the blocked kernel auto-vectorizes: the range/NaN
  * conditionals are explicit bit-mask selects (a plain ternary is
  * turned back into a branch by GCC, which then refuses to vectorize
@@ -201,7 +202,7 @@ fastExpNegativeLane(float x)
  * self-describing about which kernel produced its numbers.
  */
 constexpr const char *kRasterKernelVariant =
-    "subtile-blocked/survivor-batched";
+    "subtile-blocked/survivor-mask";
 
 /**
  * Reusable working memory of rasterizeTile. One instance per worker
@@ -214,9 +215,10 @@ constexpr const char *kRasterKernelVariant =
  * array per hot Gaussian field (compacted over the entries that hit at
  * least one subtile and can reach the alpha threshold, filled by the
  * ITU pass itself, so each entry's features are gathered once), the CSR
- * subtile buckets, and the per-block pixel planes (transmittance / r /
- * g / b / falloff power), each subtile_size^2 floats and contiguous by
- * construction.
+ * subtile buckets, the per-block pixel planes (transmittance / r / g /
+ * b / falloff power / pixel centers), each subtile_size^2 floats padded
+ * to whole 64-pixel words, the block's survivor mask words, and the
+ * fast_exp survivor batch.
  */
 struct RasterScratch
 {
@@ -243,13 +245,12 @@ struct RasterScratch
     // Blocked kernel: CSR buckets mapping subtile -> covering Gaussians.
     std::vector<uint32_t> bucket_offsets;
     std::vector<uint32_t> bucket_entries;
-    // Blocked kernel: survivor batch — pixel indices that reach the exp,
-    // their powers gathered dense (tail-padded to kSurvivorExpBatch),
-    // and the evaluated falloffs.
-    std::vector<uint32_t> surv_idx;
-    std::vector<float> surv_pow;
+    // Blocked kernel, fast_exp: the survivors' powers packed dense
+    // (tail-padded to kSurvivorExpBatch), then their falloffs in place.
     std::vector<float> surv_exp;
-    // Blocked kernel: per-block SoA pixel planes and pixel-center coords.
+    // Blocked kernel: per-block SoA pixel planes and pixel-center coords,
+    // padded to whole 64-pixel words, and the block's survivor mask (one
+    // bit per pixel).
     std::vector<float> block_power;
     std::vector<float> block_t;
     std::vector<float> block_r;
@@ -257,6 +258,7 @@ struct RasterScratch
     std::vector<float> block_b;
     std::vector<float> block_cx;
     std::vector<float> block_cy;
+    std::vector<uint64_t> block_mask;
 
     /**
      * Every member vector of @p s, as a std::tie of references: the one
@@ -272,9 +274,9 @@ struct RasterScratch
                         s.gauss_power_cut, s.gauss_dx_bound_sq,
                         s.gauss_dy_bound_sq, s.gauss_color,
                         s.gauss_bitmap, s.bucket_offsets, s.bucket_entries,
-                        s.surv_idx, s.surv_pow, s.surv_exp, s.block_power,
-                        s.block_t, s.block_r, s.block_g, s.block_b,
-                        s.block_cx, s.block_cy);
+                        s.surv_exp, s.block_power, s.block_t, s.block_r,
+                        s.block_g, s.block_b, s.block_cx, s.block_cy,
+                        s.block_mask);
     }
 
     /**
@@ -292,8 +294,8 @@ struct RasterScratch
  * Blend order is per pixel, front to back in entry order; the blocked and
  * reference paths produce bit-identical pixels and stats (see file
  * comment). The blocked kernel requires the frame's SoA feature arrays
- * and a subtile size dividing the tile size; otherwise the call falls
- * back to the reference loop.
+ * and a subtile size of at most 64 px dividing the tile size; otherwise
+ * the call falls back to the reference loop.
  *
  * @param entries depth-sorted tile entries (front to back)
  * @param frame binned frame carrying the feature table

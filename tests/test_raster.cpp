@@ -7,6 +7,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
+#include <iterator>
 #include <limits>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "core/neo_renderer.h"
 #include "gs/pipeline.h"
 #include "gs/raster.h"
+#include "gs/raster_masks.h"
 #include "test_util.h"
 
 namespace neo
@@ -227,6 +230,170 @@ TEST(SubtileBitmapTest, BoundedScanEqualsFullScanOnNonFiniteAndHugeInputs)
                             << ") tile " << g.tile << " subtile "
                             << g.subtile;
                     }
+}
+
+// --- Mask kernels: SSE2 form vs scalar twin ------------------------------
+//
+// raster_masks.h keeps a scalar twin beside each SSE2 kernel. The twin is
+// the reference: the SSE2 form must produce the same bits on every
+// input, including the ones where float compares are subtle (NaN, signed
+// zeros, infinities, denormals, exact ties with the bound).
+
+/** A random float: mostly uniform in [lo, hi], sometimes a special value
+    or one of @p ties, or a random bit pattern (any sign, NaN, denormal). */
+float
+maskInput(Rng &rng, float lo, float hi, std::initializer_list<float> ties)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                              -std::numeric_limits<float>::quiet_NaN(),
+                              0.0f,
+                              -0.0f,
+                              inf,
+                              -inf,
+                              std::numeric_limits<float>::denorm_min(),
+                              -std::numeric_limits<float>::denorm_min(),
+                              std::numeric_limits<float>::min() / 4.0f,
+                              -std::numeric_limits<float>::min() / 4.0f,
+                              1e30f,
+                              -1e30f};
+    switch (rng.below(8)) {
+    case 0:
+        return specials[rng.below(std::size(specials))];
+    case 1:
+    case 2: {
+        const float t = *(ties.begin() + rng.below(ties.size()));
+        // The tie itself or its neighbour one ulp either side.
+        switch (rng.below(3)) {
+        case 0:
+            return t;
+        case 1:
+            return std::nextafter(t, inf);
+        default:
+            return std::nextafter(t, -inf);
+        }
+    }
+    case 3:
+        return std::bit_cast<float>(static_cast<uint32_t>(rng.next()));
+    default:
+        return rng.uniform(lo, hi);
+    }
+}
+
+TEST(RasterMaskTest, SurvivorMaskMatchesScalarTwin)
+{
+    // A 1024-pixel plane (16 words, a 32-px subtile) padded to whole
+    // 4-pixel groups; random [lo, hi) ranges cover word-aligned,
+    // group-aligned, unaligned, single-pixel and empty spans.
+    constexpr int kPlane = 1024;
+    constexpr uint64_t kSentinel = 0xa5a5a5a5a5a5a5a5ull;
+    const float t_cutoff = RasterConfig{}.transmittance_cutoff;
+    Rng rng(2029);
+    std::vector<float> power(kPlane + 4), t(kPlane + 4);
+    for (int iter = 0; iter < 4000; ++iter) {
+        const float cut = iter % 50 == 0
+                              ? maskInput(rng, -30.0f, 0.0f, {-1.0f})
+                              : rng.uniform(-20.0f, -0.5f);
+        for (int p = 0; p < kPlane + 4; ++p) {
+            power[p] = maskInput(rng, -40.0f, 5.0f, {cut, 0.0f});
+            t[p] = maskInput(rng, 0.0f, 1.0f, {t_cutoff, 0.0f, 1.0f});
+        }
+        int lo = static_cast<int>(rng.below(kPlane + 1));
+        int hi = static_cast<int>(rng.below(kPlane + 1));
+        if (lo > hi)
+            std::swap(lo, hi);
+        if (iter % 7 == 0)
+            lo &= ~63; // word-aligned start
+        if (iter % 11 == 0)
+            hi = std::min(kPlane, (hi + 63) & ~63); // word-aligned end
+        uint64_t simd[kPlane / 64], twin[kPlane / 64];
+        std::fill(std::begin(simd), std::end(simd), kSentinel);
+        std::fill(std::begin(twin), std::end(twin), kSentinel);
+        const uint64_t any_simd = raster_masks::survivorMask(
+            power.data(), t.data(), lo, hi, cut, t_cutoff, simd);
+        const uint64_t any_twin = raster_masks::survivorMaskScalar(
+            power.data(), t.data(), lo, hi, cut, t_cutoff, twin);
+        ASSERT_EQ(any_simd, any_twin) << "lo " << lo << " hi " << hi;
+        for (int w = 0; w < kPlane / 64; ++w) {
+            ASSERT_EQ(simd[w], twin[w])
+                << "word " << w << " lo " << lo << " hi " << hi;
+            // Words outside the range are never written.
+            if (w < lo >> 6 || w >= (hi + 63) >> 6) {
+                ASSERT_EQ(simd[w], kSentinel) << "word " << w;
+            }
+        }
+        // Spot-check the twin's own definition at every pixel.
+        for (int p = lo; p < hi; ++p) {
+            const bool keep = !(power[p] < cut) && !(power[p] > 0.0f) &&
+                              !(t[p] < t_cutoff);
+            ASSERT_EQ(twin[p >> 6] >> (p & 63) & 1, keep ? 1u : 0u);
+        }
+    }
+}
+
+TEST(RasterMaskTest, RowMaskMatchesScalarTwin)
+{
+    Rng rng(2031);
+    for (int iter = 0; iter < 200000; ++iter) {
+        const int rows = 1 + static_cast<int>(rng.below(64));
+        // Pixel-center rows at integer + 0.5; centers and bounds that
+        // make (c0 + r - center)^2 == bound exactly for some rows.
+        const float c0 = iter % 97 == 0
+                             ? maskInput(rng, -100.0f, 100.0f, {0.5f})
+                             : static_cast<float>(rng.below(4096)) + 0.5f;
+        const float d = static_cast<float>(rng.below(40)) - 20.0f;
+        const float center =
+            maskInput(rng, c0 - 80.0f, c0 + 80.0f, {c0 + d, c0 + 0.5f});
+        const float k = static_cast<float>(rng.below(33));
+        const float bound =
+            maskInput(rng, 0.0f, 2000.0f, {k * k, 0.25f, 0.0f});
+        ASSERT_EQ(raster_masks::rowMask(c0, center, bound, rows),
+                  raster_masks::rowMaskScalar(c0, center, bound, rows))
+            << "c0 " << c0 << " center " << center << " bound " << bound
+            << " rows " << rows;
+    }
+}
+
+TEST(RasterMaskTest, SubtileBitsMatchScalarTwinAndFullScan)
+{
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    // 1 to 8 subtiles per side, subtiles of 8 to 64 px.
+    const BitmapGeometry geometries[] = {{8, 8},   {16, 8},  {24, 8},
+                                         {64, 8},  {64, 16}, {64, 32},
+                                         {64, 64}, {48, 16}, {40, 8}};
+    const Vec2 origins[] = {{0.0f, 0.0f},       {1216.0f, 704.0f},
+                            {37.25f, 1000.5f},  {1e7f, 1e7f},
+                            {-1e30f, 64.0f},    {nan, 0.0f},
+                            {0.0f, nan}};
+    Rng rng(2033);
+    for (const BitmapGeometry &g : geometries)
+        for (const Vec2 o : origins) {
+            const raster_masks::SubtileEdges edges(o, g.tile, g.subtile);
+            const float tile = static_cast<float>(g.tile);
+            const float x_edge = o.x + static_cast<float>(g.subtile);
+            const float y_edge = o.y + static_cast<float>(g.subtile);
+            for (int k = 0; k < 4000; ++k) {
+                const Vec2 mean{
+                    maskInput(rng, o.x - tile, o.x + 2.0f * tile,
+                              {o.x, x_edge, o.x + tile}),
+                    maskInput(rng, o.y - tile, o.y + 2.0f * tile,
+                              {o.y, y_edge, o.y + tile})};
+                const float r = maskInput(
+                    rng, 0.0f, 2.0f * tile,
+                    {static_cast<float>(g.subtile), 0.0f});
+                const uint64_t want = fullScanBitmap(mean, r, o, g.tile,
+                                                     g.subtile);
+                ASSERT_EQ(raster_masks::subtileBitsScalar(edges, mean, r),
+                          want)
+                    << "mean (" << mean.x << ", " << mean.y << ") r " << r
+                    << " origin (" << o.x << ", " << o.y << ") tile "
+                    << g.tile << " subtile " << g.subtile;
+                ASSERT_EQ(raster_masks::subtileBits(edges, mean, r), want)
+                    << "mean (" << mean.x << ", " << mean.y << ") r " << r
+                    << " origin (" << o.x << ", " << o.y << ") tile "
+                    << g.tile << " subtile " << g.subtile;
+            }
+        }
 }
 
 TEST(RasterizeTest, SingleGaussianColorsCenterPixel)
@@ -626,14 +793,15 @@ TEST(FastExpTest, LanePositiveInputsSaturateDefined)
               1.0f);
 }
 
-// --- Survivor-batch edge cases ------------------------------------------
+// --- Survivor-mask edge cases -------------------------------------------
 //
-// The batched pipeline (compaction -> batch exp -> blend in survivor
-// order) has boundary shapes the random scenes may not hit reliably:
-// blocks where no pixel survives the cut, blocks where every pixel
-// survives, blocks whose pixel count is not a multiple of the batch
-// width (tail lanes), and blocks that saturate midway through a
-// survivor list. Each must stay bit-identical to the reference in both
+// The mask pipeline (survivor mask -> exp per set bit, or the fast_exp
+// batch -> blend in ascending pixel order) has boundary shapes the
+// random scenes may not hit reliably: blocks where no pixel survives the
+// cut, blocks where every pixel survives, blocks whose pixel count is
+// not a multiple of the batch width (tail lanes), blocks that saturate
+// midway through a Gaussian's survivors, and subtiles spanning several
+// mask words. Each must stay bit-identical to the reference in both
 // fast_exp modes.
 
 TEST(BlockedVsReference, AllSkipBlocksBitIdentical)
@@ -745,6 +913,60 @@ TEST(BlockedVsReference, SaturatedMidBatchBitIdentical)
         EXPECT_EQ(blocked_img.contentHash(), ref_img.contentHash())
             << "fast_exp=" << fast_exp;
     }
+}
+
+TEST(BlockedVsReference, WideSubtileMaskWordsBitIdentical)
+{
+    // 16- and 32-px subtiles give 4 and 16 survivor-mask words per block.
+    // A stack of huge opaque layers covers the whole frame: the front
+    // layer alone blends every pixel, so every word of every block holds
+    // a survivor, and the stack saturates a disc of pixels about 50 px
+    // across around the frame center, which spans many 64-pixel words,
+    // so pixels drop out of the mask mid-word and on both sides of word
+    // boundaries. At 250x187 the last tile column's blocks are 10 and 26
+    // px wide, not multiples of the 4-pixel SSE2 group.
+    const Resolution res{250, 187, "ragged"};
+    const uint64_t pixels = static_cast<uint64_t>(res.width) * res.height;
+    auto layer = [](int i) {
+        return test::makeGaussian({0.0f, 0.0f, -2.0f + 0.05f * i}, 2.5f,
+                                  0.9f, {0.3f + 0.1f * i, 0.5f, 0.2f});
+    };
+    GaussianScene front;
+    front.gaussians.push_back(layer(0));
+    recomputeBounds(front);
+    GaussianScene scene = test::blobScene(200, 41);
+    for (int i = 0; i < 6; ++i)
+        scene.gaussians.push_back(layer(i));
+    recomputeBounds(scene);
+    const Camera cam = test::frontCamera(5.0f, res);
+    const BinnedFrame front_frame = binFrame(front, cam, 64);
+    const BinnedFrame frame = binFrame(scene, cam, 64);
+    for (int subtile : {16, 32})
+        for (bool fast_exp : {false, true}) {
+            RasterConfig cfg;
+            cfg.subtile_size = subtile;
+            cfg.fast_exp = fast_exp;
+            RasterConfig ref_cfg = cfg;
+            ref_cfg.reference_path = true;
+
+            Image img;
+            const RasterStats one = renderAllTiles(front_frame, cfg, res, img);
+            ASSERT_EQ(one.blend_ops, pixels)
+                << "the front layer must blend every pixel";
+
+            Image blocked_img, ref_img;
+            const RasterStats blocked =
+                renderAllTiles(frame, cfg, res, blocked_img);
+            const RasterStats ref =
+                renderAllTiles(frame, ref_cfg, res, ref_img);
+            ASSERT_GT(blocked.pixels_terminated, 4u * 64u)
+                << "the stack must saturate pixels across several words";
+            ASSERT_LT(blocked.pixels_terminated, pixels)
+                << "saturation must stop short of the frame";
+            expectEqualStats(blocked, ref);
+            EXPECT_EQ(blocked_img.contentHash(), ref_img.contentHash())
+                << "subtile=" << subtile << " fast_exp=" << fast_exp;
+        }
 }
 
 TEST(RasterizeTest, DryRunDoesOnlyItuWork)
