@@ -35,11 +35,14 @@
  * array whose lines carry no "sessions" key, so bench/diff_bench.sh's
  * in-process extraction is untouched.
  *
- * --checkpoint measures durable-mode overhead (serve/durable/): the
- * same 1-session workload twice per thread count — plain, then with
- * checkpointing + write-ahead journaling (fdatasync every record,
- * snapshot cadence mid-run) into a scratch state directory. Both runs'
- * hashes are still compared against solo. The pair lands in a
+ * --checkpoint measures durable-mode overhead (serve/durable/): per
+ * thread count, kDurablePairs pairs of the same 1-session workload, one
+ * run plain and one with checkpointing + write-ahead journaling
+ * (fdatasync every record, snapshot cadence mid-run) into a fresh
+ * scratch state directory. The order within a pair swaps every pair,
+ * so a host that speeds up or slows down during the sweep loads both
+ * sides alike. Every run's hashes are still compared against solo.
+ * Each pair is printed, and the medians over the pairs land in a
  * "durable_points" array (again no "sessions" key); diff_bench.sh
  * gates durable vs plain within the same file at <=10%.
  */
@@ -60,6 +63,7 @@
 
 #include "bench_common.h"
 #include "common/parallel.h"
+#include "common/stats.h"
 #include "scene/synthetic.h"
 #include "scene/trajectory.h"
 #include "serve/durable/durable.h"
@@ -162,16 +166,21 @@ struct NetPointResult
     bool isolated = true;
 };
 
+/** Plain/durable run pairs per --checkpoint point. One short pair
+    reads the host's drift as often as the journal's cost; the median of
+    several alternating pairs reads the journal. */
+constexpr int kDurablePairs = 5;
+
 /** One --checkpoint sweep point: the 1-session workload plain vs with
     durable checkpointing + journaling. No "sessions" key, same reason
     as NetPointResult. */
 struct DurablePointResult
 {
     int threads = 0;
-    /** Wall-clock per frame without durability. */
+    /** Median wall-clock per frame without durability. */
     double base_ms_per_frame = 0.0;
-    /** Same workload with write-ahead journaling (fdatasync per
-        record) and mid-run snapshot checkpoints. */
+    /** Median of the same workload with write-ahead journaling
+        (fdatasync per record) and mid-run snapshot checkpoints. */
     double durable_ms_per_frame = 0.0;
     /** Every hash (both runs) matched the solo run. */
     bool isolated = true;
@@ -564,6 +573,13 @@ main(int argc, char **argv)
         std::printf("%-10s %-14s %-16s %-12s %s\n", "threads",
                     "base ms/frame", "durable ms/frame", "overhead",
                     "isolated");
+        auto overheadCol = [](double base, double durable) {
+            char col[32];
+            std::snprintf(col, sizeof col, "%+.1f%%",
+                          base > 0.0 ? (durable - base) * 100.0 / base
+                                     : 0.0);
+            return std::string(col);
+        };
 
         // One 1-session pass over trajectory 0; returns ms/frame, or a
         // negative value on failure. Durable runs mirror the serving
@@ -611,11 +627,13 @@ main(int argc, char **argv)
             return ms;
         };
 
-        for (int T : args.threads) {
+        // One durable run into a fresh scratch state directory, so no
+        // run recovers or appends to another's journal.
+        auto runDurable = [&](int T, bool *isolated_out) -> double {
             ScratchStateDir state;
             if (state.path().empty()) {
                 std::fprintf(stderr, "durable: mkdtemp failed\n");
-                return 1;
+                return -1.0;
             }
             serve::durable::DurableConfig dcfg;
             dcfg.state_dir = state.path();
@@ -625,33 +643,53 @@ main(int argc, char **argv)
             dcfg.checkpoint_every = static_cast<uint64_t>(
                 std::max(args.frames / 2, 1));
             dcfg.sync_every = 1;
+            return runPoint(T, &dcfg, isolated_out);
+        };
 
+        for (int T : args.threads) {
             DurablePointResult p;
             p.threads = T;
-            bool base_iso = true;
-            bool dur_iso = true;
-            p.base_ms_per_frame = runPoint(T, nullptr, &base_iso);
-            p.durable_ms_per_frame = runPoint(T, &dcfg, &dur_iso);
-            if (p.base_ms_per_frame < 0.0 ||
-                p.durable_ms_per_frame < 0.0) {
-                std::fprintf(stderr,
-                             "durable: point failed at threads=%d\n", T);
-                return 1;
+            std::vector<double> base_ms, durable_ms;
+            for (int pair = 0; pair < kDurablePairs; ++pair) {
+                bool base_iso = true;
+                bool dur_iso = true;
+                double base = 0.0;
+                double durable = 0.0;
+                if (pair % 2 == 0) {
+                    base = runPoint(T, nullptr, &base_iso);
+                    durable = runDurable(T, &dur_iso);
+                } else {
+                    durable = runDurable(T, &dur_iso);
+                    base = runPoint(T, nullptr, &base_iso);
+                }
+                if (base < 0.0 || durable < 0.0) {
+                    std::fprintf(stderr,
+                                 "durable: point failed at threads=%d\n",
+                                 T);
+                    return 1;
+                }
+                p.isolated = p.isolated && base_iso && dur_iso;
+                base_ms.push_back(base);
+                durable_ms.push_back(durable);
+                std::printf("  pair %-3d %-14.2f %-16.2f %-12s %-8s "
+                            "(%s first)\n",
+                            pair + 1, base, durable,
+                            overheadCol(base, durable).c_str(),
+                            base_iso && dur_iso ? "yes" : "NO",
+                            pair % 2 == 0 ? "plain" : "durable");
             }
-            p.isolated = base_iso && dur_iso;
+            p.base_ms_per_frame = percentile(base_ms, 50.0);
+            p.durable_ms_per_frame = percentile(durable_ms, 50.0);
             isolated_all = isolated_all && p.isolated;
             durable_points.push_back(p);
 
-            const double pct =
-                p.base_ms_per_frame > 0.0
-                    ? (p.durable_ms_per_frame - p.base_ms_per_frame) *
-                          100.0 / p.base_ms_per_frame
-                    : 0.0;
-            char pct_col[32];
-            std::snprintf(pct_col, sizeof pct_col, "%+.1f%%", pct);
-            std::printf("%-10d %-14.2f %-16.2f %-12s %s\n", T,
-                        p.base_ms_per_frame, p.durable_ms_per_frame,
-                        pct_col, p.isolated ? "yes" : "NO");
+            std::printf("%-10d %-14.2f %-16.2f %-12s %-8s (medians of "
+                        "%d pairs)\n",
+                        T, p.base_ms_per_frame, p.durable_ms_per_frame,
+                        overheadCol(p.base_ms_per_frame,
+                                    p.durable_ms_per_frame)
+                            .c_str(),
+                        p.isolated ? "yes" : "NO", kDurablePairs);
         }
     }
 

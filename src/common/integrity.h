@@ -91,7 +91,7 @@ int integrityAttestPeriodFromEnv();
 /** Pipeline stage a fence (and hence a detected fault) belongs to. */
 enum class IntegrityStage : uint8_t
 {
-    Projection,  //!< projected feature SoA arrays (mean2d/radius/depth/conic)
+    Projection,  //!< id-indexed feature arrays (mean2d/radius/depth/conic)
     Binning,     //!< per-tile binned (id, depth) lists
     Sorting,     //!< persistent sorted tables / per-tile permutations
     Tracking,    //!< DeltaTracker previous-frame membership ids

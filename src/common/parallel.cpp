@@ -5,11 +5,6 @@
 #include <cstring>
 #include <numeric>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #include "common/env.h"
 #include "common/logging.h"
 
@@ -36,76 +31,6 @@ hardwareThreadCount()
     unsigned n = std::thread::hardware_concurrency();
     return n == 0 ? 1 : static_cast<int>(std::min<unsigned>(n, kMaxThreads));
 }
-
-ThreadAffinity
-parseThreadAffinity(const char *value)
-{
-    if (value && std::strcmp(value, "compact") == 0)
-        return ThreadAffinity::Compact;
-    if (value && std::strcmp(value, "scatter") == 0)
-        return ThreadAffinity::Scatter;
-    return ThreadAffinity::None;
-}
-
-ThreadAffinity
-threadAffinityMode()
-{
-    // An unrecognized value (e.g. a "compat" typo) silently behaving
-    // like None cost real debugging time — envChoice diagnoses it, once,
-    // through the shared warn-once registry (so env::resetWarnings()
-    // re-arms the diagnostic for tests).
-    static const char *const kModes[] = {"none", "compact", "scatter"};
-    const int mode = env::envChoice("NEO_THREAD_AFFINITY", kModes, 3, 0);
-    return mode == 1 ? ThreadAffinity::Compact
-           : mode == 2 ? ThreadAffinity::Scatter
-                       : ThreadAffinity::None;
-}
-
-int
-affinityCpuForWorker(ThreadAffinity mode, int worker, int cpus)
-{
-    if (cpus <= 1 || worker < 0)
-        return 0;
-    // Slot 0 is the dispatching thread's conventional home; workers
-    // start at slot 1.
-    const int slot = worker + 1;
-    if (mode == ThreadAffinity::Compact)
-        return slot % cpus;
-    // Scatter: even slots walk the lower half of the index range, odd
-    // slots the upper half — on the common two-socket enumeration this
-    // alternates sockets, spreading memory bandwidth. Each half wraps
-    // within itself, so odd cpu counts cannot collide two workers on
-    // one cpu while another sits idle.
-    const int half = cpus / 2;
-    if (slot % 2)
-        return half + (slot / 2) % (cpus - half);
-    return (slot / 2) % half;
-}
-
-namespace
-{
-
-/** Best-effort pin of the calling thread (no-op off Linux). */
-void
-applyWorkerAffinity(ThreadAffinity mode, int worker)
-{
-    if (mode == ThreadAffinity::None)
-        return;
-#if defined(__linux__)
-    const int cpu =
-        affinityCpuForWorker(mode, worker, hardwareThreadCount());
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    CPU_SET(static_cast<unsigned>(cpu), &set);
-    // Failure (e.g. a cgroup cpuset excluding the cpu) is harmless:
-    // the worker just stays unpinned.
-    (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-    (void)worker;
-#endif
-}
-
-} // namespace
 
 int
 resolveThreadCount(int requested)
@@ -209,17 +134,8 @@ ThreadPool::ensureWorkers(size_t wanted)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     wanted = std::min(wanted, static_cast<size_t>(kMaxThreads - 1));
-    // The affinity mode is sampled at spawn time, so a pool created
-    // after setting NEO_THREAD_AFFINITY picks it up (and the smoke test
-    // can exercise it with a private pool).
-    const ThreadAffinity affinity = threadAffinityMode();
-    while (workers_.size() < wanted) {
-        const int index = static_cast<int>(workers_.size());
-        workers_.emplace_back([this, affinity, index] {
-            applyWorkerAffinity(affinity, index);
-            workerLoop();
-        });
-    }
+    while (workers_.size() < wanted)
+        workers_.emplace_back([this] { workerLoop(); });
 }
 
 void

@@ -54,41 +54,6 @@ constexpr int kMaxThreads = 256;
 int hardwareThreadCount();
 
 /**
- * Opt-in worker CPU affinity, the first step of the NUMA roadmap item.
- * Selected by NEO_THREAD_AFFINITY at worker spawn time:
- *  - unset / unrecognized -> None: workers stay unpinned (the default;
- *    behavior is exactly that of previous releases);
- *  - "compact": worker w pins to cpu (w + 1) % cpus — consecutive
- *    cores, leaving cpu 0 for the dispatching thread; best when the
- *    working set should stay within one socket's cache;
- *  - "scatter": workers alternate between the two halves of the cpu
- *    index range (the common two-socket enumeration), walking each half
- *    in order — spreads memory bandwidth across sockets.
- * Pinning changes scheduling only, never results: the deterministic
- * chunking contract is unaffected. Non-Linux builds parse the variable
- * but pinning is a no-op.
- */
-enum class ThreadAffinity
-{
-    None,
-    Compact,
-    Scatter,
-};
-
-/** Parse a NEO_THREAD_AFFINITY value ("compact" / "scatter" / other). */
-ThreadAffinity parseThreadAffinity(const char *value);
-
-/** Affinity mode from the environment (None when unset/unrecognized). */
-ThreadAffinity threadAffinityMode();
-
-/**
- * The cpu index worker @p worker (0-based) pins to under @p mode with
- * @p cpus logical cpus. Pure function of its arguments (unit-tested);
- * slot 0 — the dispatching thread's conventional home — is skipped.
- */
-int affinityCpuForWorker(ThreadAffinity mode, int worker, int cpus);
-
-/**
  * Resolve a requested thread count to an effective one in [1, kMaxThreads]:
  * requested > 0 uses it verbatim (capped); requested == 0 consults
  * NEO_THREADS (positive integer, or "auto"/"0" for all hardware threads)

@@ -114,11 +114,11 @@ NeoRenderer::binStage(const GaussianScene &scene, const Camera &camera,
         integrity_.verifyTiles(IntegrityStage::Binning, kIntegrityBinTiles,
                                frame_.tiles);
 
-        // Projection fences: the feature SoA arrays are filled during
-        // the binning scatter; seal them here and verify before the
-        // sorter's deferred depth update copies frame depths into the
-        // persistent tables — a corrupted depth caught any later would
-        // already have poisoned cross-frame state.
+        // Projection fences: binning fills the id-indexed feature
+        // arrays (one entry per scene Gaussian); seal them here and
+        // verify before the sorter's deferred depth update copies frame
+        // depths into the persistent tables — a corrupted depth caught
+        // any later would already have poisoned cross-frame state.
         integrity_.sealSpan(IntegrityStage::Projection,
                             kIntegrityProjMean2d, frame_.mean2d);
         integrity_.sealSpan(IntegrityStage::Projection,

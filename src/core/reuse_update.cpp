@@ -186,9 +186,8 @@ ReuseUpdateSorter::deferredDepthUpdate(const BinnedFrame &frame)
     // list that is not ascending (a corrupted tracker membership), where
     // it marks exactly what it marked before the table existed.
     static const std::vector<GaussianId> kNoOutgoing;
-    const bool soa = frame.hasFeatureArrays();
     const size_t tiles = tables_.tileCount();
-    const size_t mark_words = (frame.feature_of_id.size() + 63) / 64;
+    const size_t mark_words = (frame.visible.size() + 63) / 64;
     for (UpdateScratch &s : update_scratch_)
         if (s.outgoing_marks.size() < mark_words)
             s.outgoing_marks.resize(mark_words);
@@ -210,14 +209,12 @@ ReuseUpdateSorter::deferredDepthUpdate(const BinnedFrame &frame)
                         marks[id >> 6] |= uint64_t{1} << (id & 63);
             std::vector<TileEntry> &table = tables_.table(t);
             for (size_t i = 0; i < table.size(); ++i) {
-                if (soa)
-                    prefetchGather(frame, table, i, [&](int32_t slot) {
-                        prefetchRead(&frame.depth[slot]);
-                    });
+                prefetchGather(frame, table, i, [&](GaussianId ahead) {
+                    prefetchRead(&frame.depth[ahead]);
+                });
                 TileEntry &e = table[i];
                 if (frame.isVisible(e.id))
-                    e.depth = soa ? frame.depth[frame.slotOf(e.id)]
-                                  : frame.featureOf(e.id).depth;
+                    e.depth = frame.depth[e.id];
                 if (outgoing.empty())
                     continue;
                 const bool out =

@@ -80,8 +80,9 @@ conicPower(float a, float b, float c, float dx, float dy)
 
 /**
  * A Gaussian after frustum culling and feature extraction: projected to the
- * image plane with view-dependent color resolved. This is the "feature
- * table" record the rasterizer consumes.
+ * image plane with view-dependent color resolved. Binning copies its fields
+ * into the frame's id-indexed feature arrays (BinnedFrame), which are what
+ * the rasterizer consumes.
  */
 struct ProjectedGaussian
 {
@@ -111,9 +112,6 @@ struct ProjectedGaussian
         return power > 0.0f ? 0.0f : std::exp(power);
     }
 };
-
-/** Feature table: all projected Gaussians of a frame, indexed by slot. */
-using FeatureTable = std::vector<ProjectedGaussian>;
 
 /**
  * Recompute @p scene center and bounding radius from its Gaussians

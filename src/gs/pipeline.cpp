@@ -150,8 +150,8 @@ Renderer::renderInto(Image &image, const BinnedFrame &frame,
                 grid.tiles_y * grid.tile_size);
 
     FrameStats local;
-    local.scene_gaussians = frame.feature_of_id.size();
-    local.visible_gaussians = frame.features.size();
+    local.scene_gaussians = frame.visible.size();
+    local.visible_gaussians = frame.visible_count;
     local.instances = frame.instances;
     local.mean_tile_length = frame.meanTileLength();
 
@@ -221,8 +221,8 @@ Renderer::workloadFromBinned(const BinnedFrame &frame, Resolution res) const
     FrameWorkload w;
     w.res = res;
     w.tile_size = frame.grid.tile_size;
-    w.scene_gaussians = frame.feature_of_id.size();
-    w.visible_gaussians = frame.features.size();
+    w.scene_gaussians = frame.visible.size();
+    w.visible_gaussians = frame.visible_count;
     w.instances = frame.instances;
     const int subtiles_1d = frame.grid.tile_size / opts_.raster.subtile_size;
     const int threads = resolveThreadCount(opts_.threads);

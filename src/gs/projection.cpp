@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstddef>
 
-#include "common/parallel.h"
-#include "gs/culling.h"
 #include "gs/sh.h"
 
 namespace neo
@@ -74,34 +71,6 @@ projectGaussian(const Gaussian &g, GaussianId id, const Camera &camera,
 
     out.color = shColor(g, camera.viewDirection(g.position));
     return out;
-}
-
-std::vector<std::optional<ProjectedGaussian>>
-projectScene(const GaussianScene &scene, const Camera &camera, int threads)
-{
-    std::vector<std::optional<ProjectedGaussian>> out;
-    projectSceneInto(out, scene, camera, threads);
-    return out;
-}
-
-void
-projectSceneInto(std::vector<std::optional<ProjectedGaussian>> &out,
-                 const GaussianScene &scene, const Camera &camera,
-                 int threads)
-{
-    out.assign(scene.size(), std::nullopt);
-    const Mat3 cam_rotation = camera.worldToCamera().rotationBlock();
-    parallelFor(scene.size(), resolveThreadCount(threads),
-                [&](size_t begin, size_t end, size_t) {
-                    for (size_t i = begin; i < end; ++i) {
-                        const Gaussian &g = scene[i];
-                        if (!inFrustum(g, camera))
-                            continue;
-                        out[i] = projectGaussian(
-                            g, static_cast<GaussianId>(i), camera,
-                            cam_rotation);
-                    }
-                });
 }
 
 } // namespace neo

@@ -11,7 +11,6 @@
 #define NEO_GS_PROJECTION_H
 
 #include <optional>
-#include <vector>
 
 #include "gs/camera.h"
 #include "gs/gaussian.h"
@@ -57,29 +56,6 @@ projectGaussian(const Gaussian &g, GaussianId id, const Camera &camera,
  */
 Vec3 ewaCovariance2d(const Mat3 &cov3d_cam, const Vec3 &cam, float focal_x,
                      float focal_y);
-
-/**
- * Frustum-cull and project every Gaussian of @p scene (pipeline stages
- * 1-2 for a whole frame, including the SH color evaluation). Slot i of the
- * result always corresponds to Gaussian i, and each slot is a pure
- * function of (scene[i], camera), so the output is bit-identical for any
- * thread count.
- *
- * @param threads requested thread count (resolveThreadCount semantics:
- *        0 defers to NEO_THREADS, default serial)
- */
-std::vector<std::optional<ProjectedGaussian>>
-projectScene(const GaussianScene &scene, const Camera &camera,
-             int threads = 0);
-
-/**
- * projectScene into a caller-owned slot array, reusing its capacity. The
- * vector is reset to scene.size() nullopt slots first, so stale entries
- * from a previous frame can never leak through.
- */
-void projectSceneInto(std::vector<std::optional<ProjectedGaussian>> &out,
-                      const GaussianScene &scene, const Camera &camera,
-                      int threads = 0);
 
 } // namespace neo
 

@@ -70,8 +70,8 @@ namespace
 /**
  * Scalar Gaussian-major blend loop — the historical implementation, kept
  * behind RasterConfig::reference_path as the A/B baseline and as the
- * fallback when the frame has no SoA feature arrays or the subtile size
- * does not divide the tile size.
+ * fallback when the subtile size does not divide the tile size (or is
+ * wider than 64 px) and when the blocked kernel's CSR fence trips.
  */
 void
 blendReference(const std::vector<TileEntry> &entries,
@@ -79,7 +79,6 @@ blendReference(const std::vector<TileEntry> &entries,
                Image *image, RasterScratch &scr, RasterStats &stats,
                int px0, int py0, int w, int h, int subtiles)
 {
-    const bool soa = frame.hasFeatureArrays();
     const std::vector<SubtileBitmap> &bitmaps = scr.bitmaps;
 
     std::vector<float> &transmittance = scr.transmittance;
@@ -93,13 +92,11 @@ blendReference(const std::vector<TileEntry> &entries,
     for (size_t i = 0; i < entries.size() && live_pixels > 0; ++i) {
         if (!bitmaps[i])
             continue;
-        const int32_t slot = frame.slotOf(entries[i].id);
-        const ProjectedGaussian &pg = frame.features[slot];
-        const Vec2 mean = soa ? frame.mean2d[slot] : pg.mean2d;
-        const Vec3 conic = soa ? frame.conic[slot]
-                               : Vec3{pg.conic_a, pg.conic_b, pg.conic_c};
-        const float opacity = soa ? frame.opacity[slot] : pg.opacity;
-        const Vec3 color = soa ? frame.color[slot] : pg.color;
+        const GaussianId id = entries[i].id;
+        const Vec2 mean = frame.mean2d[id];
+        const Vec3 conic = frame.conic[id];
+        const float opacity = frame.opacity[id];
+        const Vec3 color = frame.color[id];
         for (int y = 0; y < h; ++y) {
             int sub_y = y / cfg.subtile_size;
             for (int x = 0; x < w; ++x) {
@@ -165,9 +162,9 @@ reserveCompacted(RasterScratch &scr, size_t n)
 }
 
 /**
- * Append the Gaussian in feature slot @p slot, whose subtile bitmap is
- * @p bm, as compacted entry @p j of the blocked kernel: its hot fields,
- * skip cut and ellipse-extent bounds (see blendBlocked).
+ * Append Gaussian @p id, whose subtile bitmap is @p bm, as compacted
+ * entry @p j of the blocked kernel: its hot fields, skip cut and
+ * ellipse-extent bounds (see blendBlocked).
  *
  * The skip cut: power < log(threshold / opacity) - 1/16 guarantees
  * alpha < threshold, so skipping the exp there cannot change which
@@ -179,19 +176,19 @@ reserveCompacted(RasterScratch &scr, size_t n)
  * e^(-1/16) * threshold * (1 + ~1e-5) < 0.94 * threshold.
  */
 void
-compactGaussian(const BinnedFrame &frame, int32_t slot, SubtileBitmap bm,
+compactGaussian(const BinnedFrame &frame, GaussianId id, SubtileBitmap bm,
                 float log_threshold, RasterScratch &scr, uint32_t j)
 {
-    const float opacity = frame.opacity[slot];
-    const Vec2 mean = frame.mean2d[slot];
-    const Vec3 conic = frame.conic[slot];
+    const float opacity = frame.opacity[id];
+    const Vec2 mean = frame.mean2d[id];
+    const Vec3 conic = frame.conic[id];
     scr.gauss_mean_x[j] = mean.x;
     scr.gauss_mean_y[j] = mean.y;
     scr.gauss_conic_a[j] = conic.x;
     scr.gauss_conic_b[j] = conic.y;
     scr.gauss_conic_c[j] = conic.z;
     scr.gauss_opacity[j] = opacity;
-    scr.gauss_color[j] = frame.color[slot];
+    scr.gauss_color[j] = frame.color[id];
     scr.gauss_bitmap[j] = bm;
     const float cut_j = log_threshold - std::log(opacity) - 0.0625f;
     scr.gauss_power_cut[j] = cut_j;
@@ -574,10 +571,6 @@ rasterizeTile(const std::vector<TileEntry> &entries, const BinnedFrame &frame,
     RasterScratch local;
     RasterScratch &scr = scratch ? *scratch : local;
 
-    // SoA footprint arrays when in sync (always, for binFrame output);
-    // fall back to the AoS feature records otherwise.
-    const bool soa = frame.hasFeatureArrays();
-
     // The tile's pixel rectangle (empty for a stats-only dry run), known
     // up front so the ITU pass can feed the blocked kernel directly.
     const int px0 = static_cast<int>(origin.x);
@@ -587,15 +580,15 @@ rasterizeTile(const std::vector<TileEntry> &entries, const BinnedFrame &frame,
     const bool blend = w > 0 && h > 0;
     // The blocked kernel's row mask is one word: subtiles of at most 64
     // rows (any larger block takes the bit-identical reference blend).
-    const bool blocked = blend && soa && !cfg.reference_path &&
+    const bool blocked = blend && !cfg.reference_path &&
                          tile_size % cfg.subtile_size == 0 &&
                          cfg.subtile_size <= 64;
 
-    // Phase 1 (ITU): one walk over the entries resolves each slot once
-    // and computes its subtile bitmap and valid bit. On the blocked path
-    // the same walk compacts every entry that can blend into the
-    // kernel's SoA arrays: it must hit a subtile, and its peak alpha must
-    // reach the threshold (opacity < threshold implies
+    // Phase 1 (ITU): one walk over the entries gathers each entry's
+    // features by id once and computes its subtile bitmap and valid bit.
+    // On the blocked path the same walk compacts every entry that can
+    // blend into the kernel's SoA arrays: it must hit a subtile, and its
+    // peak alpha must reach the threshold (opacity < threshold implies
     // alpha = opacity * falloff <= opacity for falloff in [0, 1], so the
     // reference loop never blends it either). The per-entry bitmaps stay
     // for the reference blend, which is also the blocked kernel's
@@ -607,25 +600,21 @@ rasterizeTile(const std::vector<TileEntry> &entries, const BinnedFrame &frame,
     const float log_threshold = std::log(cfg.alpha_threshold);
     uint32_t active = 0;
     for (size_t i = 0; i < n; ++i) {
-        if (soa)
-            prefetchGather(frame, entries, i, [&](int32_t slot) {
-                prefetchRead(&frame.mean2d[slot]);
-                prefetchRead(&frame.radius_px[slot]);
-                if (blocked) {
-                    prefetchRead(&frame.opacity[slot]);
-                    prefetchRead(&frame.conic[slot]);
-                    prefetchRead(&frame.color[slot]);
-                }
-            });
+        prefetchGather(frame, entries, i, [&](GaussianId ahead) {
+            prefetchRead(&frame.mean2d[ahead]);
+            prefetchRead(&frame.radius_px[ahead]);
+            if (blocked) {
+                prefetchRead(&frame.opacity[ahead]);
+                prefetchRead(&frame.conic[ahead]);
+                prefetchRead(&frame.color[ahead]);
+            }
+        });
         bitmaps[i] = 0;
-        if (!entries[i].valid || !frame.isVisible(entries[i].id))
+        const GaussianId id = entries[i].id;
+        if (!entries[i].valid || !frame.isVisible(id))
             continue;
-        const int32_t slot = frame.slotOf(entries[i].id);
-        const Vec2 mean = soa ? frame.mean2d[slot]
-                              : frame.features[slot].mean2d;
-        const float radius = soa ? frame.radius_px[slot]
-                                 : frame.features[slot].radius_px;
-        const SubtileBitmap bm = raster_masks::subtileBits(edges, mean, radius);
+        const SubtileBitmap bm = raster_masks::subtileBits(
+            edges, frame.mean2d[id], frame.radius_px[id]);
         bitmaps[i] = bm;
         stats.intersection_tests +=
             static_cast<uint64_t>(subtiles) * subtiles;
@@ -634,8 +623,8 @@ rasterizeTile(const std::vector<TileEntry> &entries, const BinnedFrame &frame,
         ++stats.gaussians_blended;
         if (valid_out)
             (*valid_out)[i] = 1;
-        if (blocked && !(frame.opacity[slot] < cfg.alpha_threshold))
-            compactGaussian(frame, slot, bm, log_threshold, scr, active++);
+        if (blocked && !(frame.opacity[id] < cfg.alpha_threshold))
+            compactGaussian(frame, id, bm, log_threshold, scr, active++);
     }
 
     if (!blend) {
@@ -672,7 +661,6 @@ estimateTileBlendOps(const std::vector<TileEntry> &entries,
     // that are still live; the mean alpha over a Gaussian footprint is
     // opacity * E[falloff] with E[falloff] ~= 0.45 for a 3-sigma splat.
     constexpr double kMeanFalloff = 0.45;
-    const bool soa = frame.hasFeatureArrays();
     const SubtileEdges edges(origin, tile_size, cfg.subtile_size);
     double transmittance = 1.0;
     double blend_ops = 0.0;
@@ -681,12 +669,9 @@ estimateTileBlendOps(const std::vector<TileEntry> &entries,
             break;
         if (!e.valid || !frame.isVisible(e.id))
             continue;
-        const int32_t slot = frame.slotOf(e.id);
-        const float opacity =
-            soa ? frame.opacity[slot] : frame.features[slot].opacity;
+        const float opacity = frame.opacity[e.id];
         SubtileBitmap bm = raster_masks::subtileBits(
-            edges, soa ? frame.mean2d[slot] : frame.features[slot].mean2d,
-            soa ? frame.radius_px[slot] : frame.features[slot].radius_px);
+            edges, frame.mean2d[e.id], frame.radius_px[e.id]);
         if (!bm)
             continue;
         double coverage =

@@ -293,12 +293,13 @@ struct RasterScratch
  *
  * Blend order is per pixel, front to back in entry order; the blocked and
  * reference paths produce bit-identical pixels and stats (see file
- * comment). The blocked kernel requires the frame's SoA feature arrays
- * and a subtile size of at most 64 px dividing the tile size; otherwise
- * the call falls back to the reference loop.
+ * comment). The blocked kernel requires a subtile size of at most 64 px
+ * dividing the tile size; otherwise the call falls back to the reference
+ * loop. An entry whose id is outside the frame's scene, or invisible in
+ * it, never hits a subtile and never blends.
  *
  * @param entries depth-sorted tile entries (front to back)
- * @param frame binned frame carrying the feature table
+ * @param frame binned frame carrying the id-indexed feature table
  * @param tile index of the tile in the frame's grid
  * @param cfg rasterizer configuration
  * @param image output framebuffer, or nullptr for a stats-only dry run

@@ -1,6 +1,7 @@
 #include "gs/tiling.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -49,31 +50,10 @@ BinnedFrame::meanTileLength() const
     return nonempty ? static_cast<double>(total) / nonempty : 0.0;
 }
 
-void
-BinnedFrame::rebuildFeatureArrays()
-{
-    mean2d.resize(features.size());
-    radius_px.resize(features.size());
-    depth.resize(features.size());
-    opacity.resize(features.size());
-    color.resize(features.size());
-    conic.resize(features.size());
-    for (size_t i = 0; i < features.size(); ++i) {
-        const ProjectedGaussian &pg = features[i];
-        mean2d[i] = pg.mean2d;
-        radius_px[i] = pg.radius_px;
-        depth[i] = pg.depth;
-        opacity[i] = pg.opacity;
-        color[i] = pg.color;
-        conic[i] = {pg.conic_a, pg.conic_b, pg.conic_c};
-    }
-}
-
 size_t
 BinnedFrame::capacityBytes() const
 {
-    size_t total = features.capacity() * sizeof(ProjectedGaussian) +
-                   feature_of_id.capacity() * sizeof(int32_t) +
+    size_t total = visible.capacity() * sizeof(uint8_t) +
                    tiles.capacity() * sizeof(std::vector<TileEntry>) +
                    mean2d.capacity() * sizeof(Vec2) +
                    (color.capacity() + conic.capacity()) * sizeof(Vec3) +
@@ -91,10 +71,8 @@ namespace
 /** Arena keys of the scatter scratch (see kArenaKeysBinning). */
 enum : int
 {
-    kKeyProjected = kArenaKeysBinning + 0, //!< id-indexed projection slots
-    kKeyRects = kArenaKeysBinning + 1,     //!< id-indexed tile rectangles
-    kKeyCursors = kArenaKeysBinning + 2,   //!< chunks x tiles counts/cursors
-    kKeyFeatureBase = kArenaKeysBinning + 3, //!< per-chunk feature offsets
+    kKeyRects = kArenaKeysBinning + 0,   //!< id-indexed tile rectangles
+    kKeyCursors = kArenaKeysBinning + 1, //!< chunks x tiles counts/cursors
 };
 
 } // namespace
@@ -118,14 +96,13 @@ binFrameInto(BinnedFrame &out, FrameArena &arena, const GaussianScene &scene,
     const size_t tile_count = static_cast<size_t>(out.grid.tileCount());
     const size_t n = scene.size();
     clearNested(out.tiles, tile_count);
-    out.feature_of_id.assign(n, -1);
-    out.instances = 0;
-
-    // Stages 1-2 (culling + projection + SH) are per-Gaussian pure
-    // functions; run them in parallel into id-indexed slots.
-    auto &projected =
-        arena.buffer<std::optional<ProjectedGaussian>>(kKeyProjected);
-    projectSceneInto(projected, scene, camera, t);
+    out.visible.resize(n);
+    out.mean2d.resize(n);
+    out.radius_px.resize(n);
+    out.depth.resize(n);
+    out.opacity.resize(n);
+    out.color.resize(n);
+    out.conic.resize(n);
 
     // Duplication runs as a two-phase per-chunk scatter. Each chunk owns a
     // contiguous ascending id range, so concatenating the chunks' tile
@@ -136,34 +113,56 @@ binFrameInto(BinnedFrame &out, FrameArena &arena, const GaussianScene &scene,
     rects.resize(n);
     auto &cursors = arena.buffer<uint32_t>(kKeyCursors);
     cursors.assign(chunks * tile_count, 0);
-    auto &feature_base = arena.buffer<uint32_t>(kKeyFeatureBase);
-    feature_base.assign(chunks + 1, 0);
 
-    // Phase 1: each chunk computes its Gaussians' tile rectangles and
-    // counts its per-tile instances and visible features. (If this runs
+    // Phase 1: each chunk culls, projects and SH-shades its Gaussians
+    // (pure per-id functions) into their own ids' feature entries, computes
+    // their tile rectangles and counts its per-tile instances. Every id
+    // is written, so nothing of a previous frame survives. (If this runs
     // nested inside another parallel region the whole range lands in
     // chunk 0; the other rows stay zero, which the prefix pass handles.)
+    const Mat3 cam_rotation = camera.worldToCamera().rotationBlock();
+    std::atomic<uint64_t> visible_count{0};
     parallelFor(n, t, [&](size_t begin, size_t end, size_t chunk) {
         uint32_t *counts = cursors.data() + chunk * tile_count;
-        uint32_t features = 0;
+        uint64_t visible = 0;
         for (size_t id = begin; id < end; ++id) {
-            if (!projected[id])
-                continue;
-            const TileRect rect = tileRectOf(projected[id].value(), out.grid);
+            const Gaussian &g = scene[id];
+            const std::optional<ProjectedGaussian> pg =
+                inFrustum(g, camera)
+                    ? projectGaussian(g, static_cast<GaussianId>(id),
+                                      camera, cam_rotation)
+                    : std::nullopt;
+            const TileRect rect = pg ? tileRectOf(*pg, out.grid) : TileRect{};
             rects[id] = rect;
-            if (rect.empty())
+            if (rect.empty()) {
+                out.visible[id] = 0;
+                out.mean2d[id] = {};
+                out.radius_px[id] = 0.0f;
+                out.depth[id] = 0.0f;
+                out.opacity[id] = 0.0f;
+                out.color[id] = {};
+                out.conic[id] = {};
                 continue;
-            ++features;
+            }
+            out.visible[id] = 1;
+            out.mean2d[id] = pg->mean2d;
+            out.radius_px[id] = pg->radius_px;
+            out.depth[id] = pg->depth;
+            out.opacity[id] = pg->opacity;
+            out.color[id] = pg->color;
+            out.conic[id] = {pg->conic_a, pg->conic_b, pg->conic_c};
+            ++visible;
             for (int ty = rect.y0; ty <= rect.y1; ++ty)
                 for (int tx = rect.x0; tx <= rect.x1; ++tx)
                     ++counts[out.grid.tileIndex(tx, ty)];
         }
-        feature_base[chunk + 1] = features;
+        visible_count.fetch_add(visible, std::memory_order_relaxed);
     });
+    out.visible_count = visible_count.load(std::memory_order_relaxed);
 
     // Prefix pass: turn the per-chunk counts into per-chunk write cursors
-    // (chunk-order concatenation within each tile) and size every output
-    // structure exactly.
+    // (chunk-order concatenation within each tile) and size every tile
+    // list exactly.
     uint64_t instances = 0;
     for (size_t tile = 0; tile < tile_count; ++tile) {
         uint32_t offset = 0;
@@ -176,45 +175,22 @@ binFrameInto(BinnedFrame &out, FrameArena &arena, const GaussianScene &scene,
         instances += offset;
     }
     out.instances = instances;
-    for (size_t c = 0; c < chunks; ++c)
-        feature_base[c + 1] += feature_base[c];
-    const size_t visible = feature_base[chunks];
-    out.features.resize(visible);
-    out.mean2d.resize(visible);
-    out.radius_px.resize(visible);
-    out.depth.resize(visible);
-    out.opacity.resize(visible);
-    out.color.resize(visible);
-    out.conic.resize(visible);
 
-    // Phase 2: scatter. Chunks write disjoint feature slots and disjoint
-    // index ranges of each tile list, so the parallel writes are race-free
-    // and land exactly where the serial pass would have put them.
+    // Phase 2: scatter. Chunks write disjoint index ranges of each tile
+    // list, so the parallel writes are race-free and land exactly where
+    // the serial pass would have put them.
     parallelFor(n, t, [&](size_t begin, size_t end, size_t chunk) {
         uint32_t *cursor = cursors.data() + chunk * tile_count;
-        uint32_t slot = feature_base[chunk];
         for (size_t id = begin; id < end; ++id) {
-            if (!projected[id])
-                continue;
             const TileRect &rect = rects[id];
             if (rect.empty())
                 continue;
-            const ProjectedGaussian &pg = projected[id].value();
-            out.feature_of_id[id] = static_cast<int32_t>(slot);
-            out.features[slot] = pg;
-            out.mean2d[slot] = pg.mean2d;
-            out.radius_px[slot] = pg.radius_px;
-            out.depth[slot] = pg.depth;
-            out.opacity[slot] = pg.opacity;
-            out.color[slot] = pg.color;
-            out.conic[slot] = {pg.conic_a, pg.conic_b, pg.conic_c};
-            ++slot;
+            const TileEntry entry{static_cast<GaussianId>(id), out.depth[id],
+                                  true};
             for (int ty = rect.y0; ty <= rect.y1; ++ty)
                 for (int tx = rect.x0; tx <= rect.x1; ++tx) {
                     const int tile = out.grid.tileIndex(tx, ty);
-                    out.tiles[tile][cursor[tile]++] =
-                        TileEntry{static_cast<GaussianId>(id), pg.depth,
-                                  true};
+                    out.tiles[tile][cursor[tile]++] = entry;
                 }
         }
     });

@@ -130,20 +130,19 @@ TileRect tileRectOf(const ProjectedGaussian &pg, const TileGrid &grid);
 struct BinnedFrame
 {
     TileGrid grid;
-    /** Projected features of all visible Gaussians this frame. */
-    FeatureTable features;
-    /** Map GaussianId -> index into features (-1 when not visible). */
-    std::vector<int32_t> feature_of_id;
     /** Per-tile (id, depth) lists, unsorted. */
     std::vector<std::vector<TileEntry>> tiles;
     /** Total duplicated instances (= sum of tile list lengths). */
     uint64_t instances = 0;
 
-    // SoA mirrors of the hot feature fields, indexed by feature slot
-    // (same index as `features`). The intersection-test, depth-refresh and
-    // blend loops stream these small contiguous arrays instead of pulling
-    // whole ProjectedGaussian records through the cache. Kept in sync by
-    // binFrame(); call rebuildFeatureArrays() after mutating `features`.
+    // The frame's feature table: one entry per scene Gaussian, indexed by
+    // GaussianId. A Gaussian is visible when it survives culling and
+    // projection and its footprint touches at least one tile; every other
+    // id holds zeros, so each array is a pure function of (scene, camera).
+    // The intersection-test, depth-refresh and blend loops gather these
+    // small contiguous arrays by the id a tile entry carries.
+    std::vector<uint8_t> visible; //!< 1 when the id has a tile entry
+    uint64_t visible_count = 0;   //!< number of visible ids
     std::vector<Vec2> mean2d;     //!< screen-space centers
     std::vector<float> radius_px; //!< 3-sigma screen radii
     std::vector<float> depth;     //!< camera-space depths
@@ -151,32 +150,14 @@ struct BinnedFrame
     std::vector<Vec3> color;      //!< view-dependent RGB from SH
     std::vector<Vec3> conic;      //!< inverse-covariance (a, b, c)
 
-    const ProjectedGaussian &featureOf(GaussianId id) const
-    {
-        return features[feature_of_id[id]];
-    }
-
-    /** Feature slot of @p id; only valid when isVisible(id). */
-    int32_t slotOf(GaussianId id) const { return feature_of_id[id]; }
-
+    /**
+     * Bounds-checked: an id outside the scene (only a corrupted entry
+     * carries one) reads as invisible and never indexes the arrays.
+     */
     bool isVisible(GaussianId id) const
     {
-        return id < feature_of_id.size() && feature_of_id[id] >= 0;
+        return id < visible.size() && visible[id] != 0;
     }
-
-    /** True when the SoA arrays match `features` (hot paths require it). */
-    bool hasFeatureArrays() const
-    {
-        return mean2d.size() == features.size() &&
-               radius_px.size() == features.size() &&
-               depth.size() == features.size() &&
-               opacity.size() == features.size() &&
-               color.size() == features.size() &&
-               conic.size() == features.size();
-    }
-
-    /** Regenerate the SoA arrays from `features`. */
-    void rebuildFeatureArrays();
 
     /** Mean tile-list length over non-empty tiles. */
     double meanTileLength() const;
@@ -201,50 +182,40 @@ prefetchRead(const void *p)
 }
 
 /**
- * How far ahead of a walk over tile entries the gathers are requested:
- * the id -> slot map line kSlotPrefetchAhead entries early, the slot's
- * feature lines kFeaturePrefetchAhead entries early (by which time the
- * map line has arrived). A tile's entries are in depth or id order, so
- * consecutive entries' features sit on unrelated cache lines.
+ * How far ahead of a walk over tile entries the feature lines are
+ * requested. A tile's entries are in depth or id order, so consecutive
+ * entries' features sit on unrelated cache lines.
  */
-constexpr size_t kSlotPrefetchAhead = 16;
 constexpr size_t kFeaturePrefetchAhead = 8;
 
 /**
  * Prefetch for step @p i of a walk over @p entries that gathers
- * @p frame's features by id: requests the slot-map line of entry
- * i + kSlotPrefetchAhead and, when entry i + kFeaturePrefetchAhead is
- * visible, calls @p feature_lines(slot) to request its feature lines.
- * A hint only: it never changes what the walk computes.
+ * @p frame's features by id: when entry i + kFeaturePrefetchAhead carries
+ * an id inside the scene, calls @p feature_lines(id) to request its
+ * feature lines. A hint only: it never changes what the walk computes.
  */
 template <typename FeatureLines>
 inline void
 prefetchGather(const BinnedFrame &frame, const std::vector<TileEntry> &entries,
                size_t i, FeatureLines &&feature_lines)
 {
-    const size_t n = entries.size();
-    if (i + kSlotPrefetchAhead < n) {
-        const GaussianId id = entries[i + kSlotPrefetchAhead].id;
-        if (id < frame.feature_of_id.size())
-            prefetchRead(&frame.feature_of_id[id]);
-    }
-    if (i + kFeaturePrefetchAhead < n) {
+    if (i + kFeaturePrefetchAhead < entries.size()) {
         const GaussianId id = entries[i + kFeaturePrefetchAhead].id;
-        if (frame.isVisible(id))
-            feature_lines(frame.slotOf(id));
+        if (id < frame.visible.size())
+            feature_lines(id);
     }
 }
 
 class FrameArena;
 
 /**
- * Run culling + feature extraction + duplication for one frame. Culling,
- * projection and SH evaluation run per-Gaussian in parallel; the
- * duplication scatter runs as per-chunk local binning (each worker counts
- * and then scatters its contiguous id range) with a deterministic
- * per-tile concatenation in chunk order, so every tile list comes out in
- * ascending id order — bit-identical to the historical serial pass for
- * any thread count.
+ * Run culling + feature extraction + duplication for one frame as a
+ * two-phase per-chunk pass over contiguous id ranges. Phase 1 culls,
+ * projects and SH-shades each Gaussian into its own id's feature entries
+ * and counts its tile instances; phase 2 scatters the tile entries, with
+ * a deterministic per-tile concatenation in chunk order, so every tile
+ * list comes out in ascending id order — bit-identical to the historical
+ * serial pass for any thread count.
  *
  * @param scene the scene
  * @param camera viewing camera

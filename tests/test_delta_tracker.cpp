@@ -89,7 +89,7 @@ TEST(DeltaTrackerTest, IncomingEntriesCarryDepths)
     for (const auto &td : d.tiles)
         for (const auto &e : td.incoming) {
             ASSERT_TRUE(next.isVisible(e.id));
-            EXPECT_FLOAT_EQ(e.depth, next.featureOf(e.id).depth);
+            EXPECT_FLOAT_EQ(e.depth, next.depth[e.id]);
         }
 }
 

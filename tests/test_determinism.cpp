@@ -8,9 +8,11 @@
  */
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -135,17 +137,36 @@ expectEqualBinned(const BinnedFrame &a, const BinnedFrame &b)
     EXPECT_EQ(a.grid.tiles_x, b.grid.tiles_x);
     EXPECT_EQ(a.grid.tiles_y, b.grid.tiles_y);
     EXPECT_EQ(a.instances, b.instances);
-    EXPECT_EQ(a.feature_of_id, b.feature_of_id);
-    ASSERT_EQ(a.features.size(), b.features.size());
-    for (size_t i = 0; i < a.features.size(); ++i) {
-        EXPECT_EQ(a.features[i].id, b.features[i].id);
-        EXPECT_EQ(a.features[i].mean2d.x, b.features[i].mean2d.x);
-        EXPECT_EQ(a.features[i].mean2d.y, b.features[i].mean2d.y);
-        EXPECT_EQ(a.features[i].depth, b.features[i].depth);
-        EXPECT_EQ(a.features[i].radius_px, b.features[i].radius_px);
-        EXPECT_EQ(a.mean2d[i].x, b.mean2d[i].x);
-        EXPECT_EQ(a.depth[i], b.depth[i]);
-        EXPECT_EQ(a.radius_px[i], b.radius_px[i]);
+    EXPECT_EQ(a.visible, b.visible);
+    EXPECT_EQ(a.visible_count, b.visible_count);
+    // Bit patterns, not float ==: the arrays must match bit for bit.
+    auto bits = [](float f) { return std::bit_cast<uint32_t>(f); };
+    const size_t n = a.visible.size();
+    ASSERT_EQ(b.visible.size(), n);
+    ASSERT_EQ(a.mean2d.size(), n);
+    ASSERT_EQ(b.mean2d.size(), n);
+    ASSERT_EQ(a.radius_px.size(), n);
+    ASSERT_EQ(b.radius_px.size(), n);
+    ASSERT_EQ(a.depth.size(), n);
+    ASSERT_EQ(b.depth.size(), n);
+    ASSERT_EQ(a.opacity.size(), n);
+    ASSERT_EQ(b.opacity.size(), n);
+    ASSERT_EQ(a.color.size(), n);
+    ASSERT_EQ(b.color.size(), n);
+    ASSERT_EQ(a.conic.size(), n);
+    ASSERT_EQ(b.conic.size(), n);
+    for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(bits(a.mean2d[i].x), bits(b.mean2d[i].x)) << "id " << i;
+        EXPECT_EQ(bits(a.mean2d[i].y), bits(b.mean2d[i].y)) << "id " << i;
+        EXPECT_EQ(bits(a.radius_px[i]), bits(b.radius_px[i])) << "id " << i;
+        EXPECT_EQ(bits(a.depth[i]), bits(b.depth[i])) << "id " << i;
+        EXPECT_EQ(bits(a.opacity[i]), bits(b.opacity[i])) << "id " << i;
+        for (const auto &[va, vb] : {std::pair{a.color[i], b.color[i]},
+                                     std::pair{a.conic[i], b.conic[i]}}) {
+            EXPECT_EQ(bits(va.x), bits(vb.x)) << "id " << i;
+            EXPECT_EQ(bits(va.y), bits(vb.y)) << "id " << i;
+            EXPECT_EQ(bits(va.z), bits(vb.z)) << "id " << i;
+        }
     }
     ASSERT_EQ(a.tiles.size(), b.tiles.size());
     for (size_t t = 0; t < a.tiles.size(); ++t) {
@@ -161,8 +182,8 @@ expectEqualBinned(const BinnedFrame &a, const BinnedFrame &b)
 TEST(Determinism, ParallelBinningScatterBitIdentical)
 {
     // The per-chunk scatter with chunk-order concatenation must reproduce
-    // the serial ascending-id pass exactly: features in id order, every
-    // tile list in ascending id order, SoA mirrors in sync.
+    // the serial ascending-id pass exactly: every id's features and
+    // visibility, and every tile list in ascending id order.
     GaussianScene scene = test::tinySyntheticScene();
     Camera cam = test::frontCamera();
     for (int tile_px : {16, 64}) {

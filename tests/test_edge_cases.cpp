@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -58,8 +59,10 @@ TEST(EdgeCaseTest, GaussianExactlyOnTileBorder)
     // The projected center lands at the image center = a tile corner for
     // 256x192 with 16-px tiles; the Gaussian must be binned into every
     // adjacent tile.
-    const ProjectedGaussian &pg = frame.features.at(0);
-    TileRect rect = tileRectOf(pg, frame.grid);
+    const std::optional<ProjectedGaussian> pg =
+        projectGaussian(scene[0], 0, cam);
+    ASSERT_TRUE(pg.has_value());
+    TileRect rect = tileRectOf(*pg, frame.grid);
     EXPECT_GE(rect.count(), 4);
 }
 

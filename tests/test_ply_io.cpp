@@ -159,7 +159,7 @@ TEST(PlyIoTest, RenderedSceneSurvivesRoundTrip)
     BinnedFrame a = binFrame(scene, cam, 16);
     BinnedFrame b = binFrame(loaded, cam, 16);
     EXPECT_EQ(a.instances, b.instances);
-    EXPECT_EQ(a.features.size(), b.features.size());
+    EXPECT_EQ(a.visible_count, b.visible_count);
     std::remove(path);
 }
 

@@ -401,11 +401,11 @@ TEST(RasterizeTest, SingleGaussianColorsCenterPixel)
     BinnedFrame frame =
         singleGaussianFrame({0.0f, 0.0f, 0.0f}, 0.25f, 0.9f,
                             {1.0f, 0.0f, 0.0f});
-    ASSERT_EQ(frame.features.size(), 1u);
-    const ProjectedGaussian &pg = frame.features[0];
+    ASSERT_EQ(frame.visible_count, 1u);
+    const Vec2 mean = frame.mean2d[0];
     TileGrid grid = frame.grid;
-    int tx = static_cast<int>(pg.mean2d.x) / grid.tile_size;
-    int ty = static_cast<int>(pg.mean2d.y) / grid.tile_size;
+    int tx = static_cast<int>(mean.x) / grid.tile_size;
+    int ty = static_cast<int>(mean.y) / grid.tile_size;
     int tile = grid.tileIndex(tx, ty);
     ASSERT_FALSE(frame.tiles[tile].empty());
 
@@ -414,8 +414,8 @@ TEST(RasterizeTest, SingleGaussianColorsCenterPixel)
     RasterStats stats = rasterizeTile(frame.tiles[tile], frame, tile, cfg,
                                       &image);
     EXPECT_GT(stats.blend_ops, 0u);
-    Vec3 px = image.at(static_cast<int>(pg.mean2d.x),
-                       static_cast<int>(pg.mean2d.y));
+    Vec3 px = image.at(static_cast<int>(mean.x),
+                       static_cast<int>(mean.y));
     EXPECT_GT(px.x, 0.5f);
     EXPECT_LT(px.y, 0.1f);
 }
@@ -433,17 +433,17 @@ TEST(RasterizeTest, FrontGaussianOccludesBack)
     BinnedFrame frame = binFrame(scene, cam, 64);
 
     // Find the tile containing the screen center and sort it by depth.
-    const ProjectedGaussian &pg = frame.features[0];
+    const Vec2 mean = frame.mean2d[0];
     TileGrid grid = frame.grid;
-    int tile = grid.tileIndex(static_cast<int>(pg.mean2d.x) / grid.tile_size,
-                              static_cast<int>(pg.mean2d.y) / grid.tile_size);
+    int tile = grid.tileIndex(static_cast<int>(mean.x) / grid.tile_size,
+                              static_cast<int>(mean.y) / grid.tile_size);
     auto entries = frame.tiles[tile];
     std::sort(entries.begin(), entries.end(), entryDepthLess);
 
     Image image(grid.tiles_x * grid.tile_size, grid.tiles_y * grid.tile_size);
     rasterizeTile(entries, frame, tile, RasterConfig{}, &image);
-    Vec3 px = image.at(static_cast<int>(pg.mean2d.x),
-                       static_cast<int>(pg.mean2d.y));
+    Vec3 px = image.at(static_cast<int>(mean.x),
+                       static_cast<int>(mean.y));
     EXPECT_GT(px.x, 0.6f) << "front (red) should dominate";
     EXPECT_LT(px.z, 0.3f);
 
@@ -451,8 +451,8 @@ TEST(RasterizeTest, FrontGaussianOccludesBack)
     std::reverse(entries.begin(), entries.end());
     Image wrong(grid.tiles_x * grid.tile_size, grid.tiles_y * grid.tile_size);
     rasterizeTile(entries, frame, tile, RasterConfig{}, &wrong);
-    Vec3 wrong_px = wrong.at(static_cast<int>(pg.mean2d.x),
-                             static_cast<int>(pg.mean2d.y));
+    Vec3 wrong_px = wrong.at(static_cast<int>(mean.x),
+                             static_cast<int>(mean.y));
     EXPECT_GT(wrong_px.z, 0.6f) << "reversed order should show blue";
 }
 
@@ -461,10 +461,10 @@ TEST(RasterizeTest, InvalidEntriesAreSkipped)
     BinnedFrame frame =
         singleGaussianFrame({0.0f, 0.0f, 0.0f}, 0.25f, 0.9f,
                             {1.0f, 0.0f, 0.0f});
-    const ProjectedGaussian &pg = frame.features[0];
+    const Vec2 mean = frame.mean2d[0];
     TileGrid grid = frame.grid;
-    int tile = grid.tileIndex(static_cast<int>(pg.mean2d.x) / grid.tile_size,
-                              static_cast<int>(pg.mean2d.y) / grid.tile_size);
+    int tile = grid.tileIndex(static_cast<int>(mean.x) / grid.tile_size,
+                              static_cast<int>(mean.y) / grid.tile_size);
     auto entries = frame.tiles[tile];
     for (auto &e : entries)
         e.valid = false;
@@ -480,10 +480,10 @@ TEST(RasterizeTest, ValidOutReflectsIntersection)
     BinnedFrame frame =
         singleGaussianFrame({0.0f, 0.0f, 0.0f}, 0.25f, 0.9f,
                             {1.0f, 0.0f, 0.0f});
-    const ProjectedGaussian &pg = frame.features[0];
+    const Vec2 mean = frame.mean2d[0];
     TileGrid grid = frame.grid;
-    int tile = grid.tileIndex(static_cast<int>(pg.mean2d.x) / grid.tile_size,
-                              static_cast<int>(pg.mean2d.y) / grid.tile_size);
+    int tile = grid.tileIndex(static_cast<int>(mean.x) / grid.tile_size,
+                              static_cast<int>(mean.y) / grid.tile_size);
     std::vector<uint8_t> valid;
     rasterizeTile(frame.tiles[tile], frame, tile, RasterConfig{}, nullptr,
                   &valid);
@@ -510,10 +510,10 @@ TEST(RasterizeTest, OpaqueWallTerminatesEarly)
     recomputeBounds(scene);
     Camera cam = test::frontCamera(5.0f);
     BinnedFrame frame = binFrame(scene, cam, 64);
-    const ProjectedGaussian &pg = frame.features[0];
+    const Vec2 mean = frame.mean2d[0];
     TileGrid grid = frame.grid;
-    int tile = grid.tileIndex(static_cast<int>(pg.mean2d.x) / grid.tile_size,
-                              static_cast<int>(pg.mean2d.y) / grid.tile_size);
+    int tile = grid.tileIndex(static_cast<int>(mean.x) / grid.tile_size,
+                              static_cast<int>(mean.y) / grid.tile_size);
     auto entries = frame.tiles[tile];
     std::sort(entries.begin(), entries.end(), entryDepthLess);
     Image image(grid.tiles_x * grid.tile_size, grid.tiles_y * grid.tile_size);
@@ -974,14 +974,64 @@ TEST(RasterizeTest, DryRunDoesOnlyItuWork)
     BinnedFrame frame =
         singleGaussianFrame({0.0f, 0.0f, 0.0f}, 0.25f, 0.9f,
                             {1.0f, 0.0f, 0.0f});
-    const ProjectedGaussian &pg = frame.features[0];
+    const Vec2 mean = frame.mean2d[0];
     TileGrid grid = frame.grid;
-    int tile = grid.tileIndex(static_cast<int>(pg.mean2d.x) / grid.tile_size,
-                              static_cast<int>(pg.mean2d.y) / grid.tile_size);
+    int tile = grid.tileIndex(static_cast<int>(mean.x) / grid.tile_size,
+                              static_cast<int>(mean.y) / grid.tile_size);
     RasterStats stats = rasterizeTile(frame.tiles[tile], frame, tile,
                                       RasterConfig{}, nullptr);
     EXPECT_GT(stats.intersection_tests, 0u);
     EXPECT_EQ(stats.blend_ops, 0u);
+}
+
+TEST(RasterizeTest, IdsOutsideTheSceneRasterizeAsInvisible)
+{
+    // A corrupted tile entry may carry any id. One past the scene and all
+    // ones must read as invisible: no subtile test, no blend, valid bit 0,
+    // and no index into the id-indexed feature arrays (the sanitizer
+    // build checks the last).
+    GaussianScene scene = test::blobScene(200, 5);
+    Camera cam = test::frontCamera(5.0f);
+    BinnedFrame frame = binFrame(scene, cam, 64);
+    const GaussianId past_end = static_cast<GaussianId>(scene.size());
+    const GaussianId all_ones = 0xFFFFFFFFu;
+    uint64_t blended = 0;
+    for (bool reference : {false, true}) {
+        RasterConfig cfg;
+        cfg.reference_path = reference;
+        for (int tile = 0; tile < frame.grid.tileCount(); ++tile) {
+            auto entries = frame.tiles[tile];
+            std::sort(entries.begin(), entries.end(), entryDepthLess);
+            auto with = entries;
+            with.insert(with.begin(), TileEntry{past_end, 0.0f, true});
+            with.insert(with.begin() + static_cast<long>(with.size() / 2),
+                        TileEntry{all_ones, 1.0f, true});
+            with.push_back(TileEntry{past_end, 100.0f, true});
+
+            Image image(frame.grid.tiles_x * 64, frame.grid.tiles_y * 64);
+            Image image_with = image;
+            std::vector<uint8_t> valid, valid_with;
+            RasterStats stats =
+                rasterizeTile(entries, frame, tile, cfg, &image, &valid);
+            RasterStats stats_with = rasterizeTile(with, frame, tile, cfg,
+                                                   &image_with, &valid_with);
+            blended += stats.blend_ops;
+            EXPECT_EQ(stats_with.gaussians_in, stats.gaussians_in + 3);
+            stats_with.gaussians_in = stats.gaussians_in;
+            expectEqualStats(stats_with, stats);
+            EXPECT_EQ(image_with.contentHash(), image.contentHash())
+                << "tile " << tile << " reference " << reference;
+            ASSERT_EQ(valid_with.size(), with.size());
+            for (size_t i = 0; i < with.size(); ++i) {
+                if (with[i].id == past_end || with[i].id == all_ones) {
+                    EXPECT_EQ(valid_with[i], 0) << "tile " << tile;
+                }
+            }
+            EXPECT_EQ(estimateTileBlendOps(with, frame, tile, cfg),
+                      estimateTileBlendOps(entries, frame, tile, cfg));
+        }
+    }
+    EXPECT_GT(blended, 0u);
 }
 
 } // namespace

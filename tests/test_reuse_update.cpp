@@ -91,7 +91,7 @@ TEST(ReuseUpdateTest, DepthsAreRefreshedAfterFrame)
     for (int t = 0; t < f1.grid.tileCount(); ++t) {
         for (const auto &e : sorter.tables().table(t)) {
             if (f1.isVisible(e.id)) {
-                EXPECT_FLOAT_EQ(e.depth, f1.featureOf(e.id).depth);
+                EXPECT_FLOAT_EQ(e.depth, f1.depth[e.id]);
             }
         }
     }

@@ -3,11 +3,14 @@
  * Unit tests for tile binning / duplication.
  */
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 
 #include <gtest/gtest.h>
 
+#include "gs/culling.h"
 #include "gs/projection.h"
 #include "gs/tiling.h"
 #include "test_util.h"
@@ -95,19 +98,68 @@ TEST(BinFrameTest, DuplicationAtLeastOneTilePerVisible)
     GaussianScene scene = test::blobScene(300);
     Camera cam = test::frontCamera(5.0f);
     BinnedFrame frame = binFrame(scene, cam, 16);
-    EXPECT_GE(frame.instances, frame.features.size());
+    EXPECT_GE(frame.instances, frame.visible_count);
 }
 
 TEST(BinFrameTest, FeatureLookupIsConsistent)
 {
+    // The feature table is indexed by id: an id is visible exactly when it
+    // survives culling and projection with a non-empty tile rectangle, a
+    // visible id holds projectGaussian's fields bit for bit, and every
+    // other id holds zeros.
     GaussianScene scene = test::blobScene(100);
+    const size_t blob = scene.size();
+    // Behind the camera (at z = -5, looking toward +z).
+    scene.gaussians.push_back(test::makeGaussian({0.0f, 0.0f, -8.0f}));
+    // Far off-screen, and just past the right edge of the image.
+    scene.gaussians.push_back(test::makeGaussian({40.0f, 0.0f, 0.0f}));
+    for (float x : {3.4f, 3.6f, 4.0f})
+        scene.gaussians.push_back(test::makeGaussian({x, 0.0f, 0.0f}, 0.02f));
+    recomputeBounds(scene);
     Camera cam = test::frontCamera(5.0f);
     BinnedFrame frame = binFrame(scene, cam, 16);
+    ASSERT_EQ(frame.visible.size(), scene.size());
+
+    auto bits = [](float f) { return std::bit_cast<uint32_t>(f); };
+    auto expectVec = [&](Vec3 got, Vec3 want, GaussianId id) {
+        EXPECT_EQ(bits(got.x), bits(want.x)) << "id " << id;
+        EXPECT_EQ(bits(got.y), bits(want.y)) << "id " << id;
+        EXPECT_EQ(bits(got.z), bits(want.z)) << "id " << id;
+    };
+    uint64_t visible = 0;
     for (GaussianId id = 0; id < scene.size(); ++id) {
-        if (!frame.isVisible(id))
+        const std::optional<ProjectedGaussian> pg =
+            inFrustum(scene[id], cam) ? projectGaussian(scene[id], id, cam)
+                                      : std::nullopt;
+        const bool expect_visible =
+            pg && !tileRectOf(*pg, frame.grid).empty();
+        ASSERT_EQ(frame.isVisible(id), expect_visible) << "id " << id;
+        if (!expect_visible) {
+            EXPECT_GE(id, blob) << "a blob Gaussian was culled";
+            expectVec({frame.mean2d[id].x, frame.mean2d[id].y,
+                       frame.radius_px[id]},
+                      {}, id);
+            expectVec({frame.depth[id], frame.opacity[id], 0.0f}, {}, id);
+            expectVec(frame.color[id], {}, id);
+            expectVec(frame.conic[id], {}, id);
             continue;
-        EXPECT_EQ(frame.featureOf(id).id, id);
+        }
+        ++visible;
+        expectVec({frame.mean2d[id].x, frame.mean2d[id].y,
+                   frame.radius_px[id]},
+                  {pg->mean2d.x, pg->mean2d.y, pg->radius_px}, id);
+        expectVec({frame.depth[id], frame.opacity[id], 0.0f},
+                  {pg->depth, pg->opacity, 0.0f}, id);
+        expectVec(frame.color[id], pg->color, id);
+        expectVec(frame.conic[id], {pg->conic_a, pg->conic_b, pg->conic_c},
+                  id);
     }
+    EXPECT_EQ(frame.visible_count, visible);
+    EXPECT_GE(visible, blob);
+    EXPECT_LE(visible, scene.size() - 2) << "nothing was culled";
+    // Ids outside the scene read as invisible.
+    EXPECT_FALSE(frame.isVisible(static_cast<GaussianId>(scene.size())));
+    EXPECT_FALSE(frame.isVisible(0xFFFFFFFFu));
 }
 
 TEST(BinFrameTest, EntriesCarryFeatureDepth)
@@ -118,7 +170,7 @@ TEST(BinFrameTest, EntriesCarryFeatureDepth)
     for (const auto &tile : frame.tiles)
         for (const auto &e : tile) {
             ASSERT_TRUE(frame.isVisible(e.id));
-            EXPECT_FLOAT_EQ(e.depth, frame.featureOf(e.id).depth);
+            EXPECT_FLOAT_EQ(e.depth, frame.depth[e.id]);
             EXPECT_TRUE(e.valid);
         }
 }
@@ -131,14 +183,13 @@ TEST(BinFrameTest, EveryInstanceIntersectsItsTileRect)
     for (int tile = 0; tile < frame.grid.tileCount(); ++tile) {
         Vec2 origin = frame.grid.tileOrigin(tile);
         for (const auto &e : frame.tiles[tile]) {
-            const ProjectedGaussian &pg = frame.featureOf(e.id);
+            const Vec2 mean = frame.mean2d[e.id];
+            const float radius = frame.radius_px[e.id];
             // The gaussian's bbox must overlap the tile's pixel rect.
-            EXPECT_LE(pg.mean2d.x - pg.radius_px,
-                      origin.x + frame.grid.tile_size);
-            EXPECT_GE(pg.mean2d.x + pg.radius_px, origin.x);
-            EXPECT_LE(pg.mean2d.y - pg.radius_px,
-                      origin.y + frame.grid.tile_size);
-            EXPECT_GE(pg.mean2d.y + pg.radius_px, origin.y);
+            EXPECT_LE(mean.x - radius, origin.x + frame.grid.tile_size);
+            EXPECT_GE(mean.x + radius, origin.x);
+            EXPECT_LE(mean.y - radius, origin.y + frame.grid.tile_size);
+            EXPECT_GE(mean.y + radius, origin.y);
         }
     }
 }
@@ -150,7 +201,7 @@ TEST(BinFrameTest, LargerTilesMeanFewerInstances)
     BinnedFrame f16 = binFrame(scene, cam, 16);
     BinnedFrame f64 = binFrame(scene, cam, 64);
     EXPECT_GT(f16.instances, f64.instances);
-    EXPECT_EQ(f16.features.size(), f64.features.size());
+    EXPECT_EQ(f16.visible_count, f64.visible_count);
 }
 
 TEST(BinFrameTest, MeanTileLengthSane)
