@@ -3,7 +3,7 @@
  * Multi-session serving bench — the serving layer's throughput and
  * isolation entry point.
  *
- * Opens N sessions against one shared scene/RendererShared and drives
+ * Opens N sessions against one shared const scene and drives
  * each from its own driver thread over the same synthetic orbit the
  * thread-scaling bench renders (same scene parameters, resolution and
  * frame count), sweeping sessions x pipeline worker threads. Every

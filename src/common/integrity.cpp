@@ -181,8 +181,6 @@ IntegrityContext::structureFor(IntegrityStage stage, const char *name)
     Structure s;
     s.name = name;
     s.stage = stage;
-    s.shadow_key = kArenaKeysIntegrity +
-                   2 * static_cast<int>(structures_.size());
     structures_.push_back(std::move(s));
     return structures_.back();
 }

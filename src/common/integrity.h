@@ -13,15 +13,16 @@
  * subsequent frame through the reuse-and-update state.
  *
  * Mechanism: each protected structure is *sealed* at its producer fence
- * (per-tile Digest64 digests; in recover mode also a full shadow copy in
- * a FrameArena) and *verified* at its consumer fence. On mismatch a
- * FaultReport is recorded into FrameStats and the registered FaultHandler
- * runs; in recover mode the structure is first restored from the
- * digest-verified shadow copy and the frame is re-rendered through the
- * retained scalar reference rasterizer (bit-identical to the blocked
- * kernel by the repo's determinism contract), so the delivered frame hash
- * equals the uncorrupted reference. The existing frame content hash
- * doubles as end-to-end attestation.
+ * (per-tile Digest64 digests; in recover mode also a full shadow copy
+ * of its bytes, owned by the structure's seal record) and *verified* at
+ * its consumer fence. On mismatch a FaultReport is recorded into
+ * FrameStats and the registered FaultHandler runs; in recover mode the
+ * structure is first restored from the digest-verified shadow copy and
+ * the frame is re-rendered through the retained scalar reference
+ * rasterizer (bit-identical to the blocked kernel by the repo's
+ * determinism contract), so the delivered frame hash equals the
+ * uncorrupted reference. The existing frame content hash doubles as
+ * end-to-end attestation.
  *
  * Selected by NEO_INTEGRITY={off,check,recover,attest} or
  * programmatically via PipelineOptions::integrity. Attest layers periodic
@@ -35,13 +36,16 @@
 #define NEO_COMMON_INTEGRITY_H
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <mutex>
+#include <new>
+#include <type_traits>
 #include <vector>
 
 #include "common/digest.h"
-#include "common/frame_arena.h"
 
 namespace neo
 {
@@ -148,8 +152,8 @@ inline constexpr const char *kIntegrityAttestFrame = "attest.frame";
 
 /**
  * Per-renderer integrity state: the seal/verify fences over per-tile
- * structures, the shadow copies (held in an owned FrameArena, capacity
- * retained across frames), and the frame's fault reports.
+ * structures, the shadow copies (one per structure, capacity retained
+ * across frames), and the frame's fault reports.
  *
  * Seal/verify run on the frame-control thread; recordFault()/noteCheck()
  * are additionally safe from inside parallel raster regions.
@@ -264,13 +268,43 @@ class IntegrityContext
         const char *name = "";
         IntegrityStage stage = IntegrityStage::Binning;
         bool sealed = false;
-        int shadow_key = 0; //!< arena keys {data, offsets} of the shadow
         std::vector<uint64_t> digests; //!< per tile
         std::vector<uint32_t> sizes;   //!< per tile element counts
+        /** Recover-mode shadow: the sealed elements' bytes, every tile
+            concatenated (a span is one run). */
+        std::vector<std::byte> shadow;
+        /** Element offset of each tile in the shadow, plus the total
+            (tiles only). */
+        std::vector<uint64_t> shadow_offsets;
     };
 
     Structure &structureFor(IntegrityStage stage, const char *name);
     Structure *findStructure(const char *name);
+
+    /** Copy @p n elements at @p src into @p s's shadow, starting at
+        element @p at (the shadow is already sized). */
+    template <typename T>
+    static void copyToShadow(Structure &s, size_t at, const T *src,
+                             size_t n)
+    {
+        // Every fenced type (TileEntry, GaussianId, float, Vec2, Vec3)
+        // is trivially copyable, so its bytes are the element.
+        static_assert(std::is_trivially_copyable_v<T>);
+        if (n)
+            std::memcpy(s.shadow.data() + at * sizeof(T), src,
+                        n * sizeof(T));
+    }
+
+    /** The shadow's elements (nullptr when it is empty). copyToShadow's
+        memcpy implicitly created them there: a trivially copyable type
+        has implicit lifetime. */
+    template <typename T>
+    static const T *shadowElements(const Structure &s)
+    {
+        return s.shadow.empty() ? nullptr
+                                : std::launder(reinterpret_cast<const T *>(
+                                      s.shadow.data()));
+    }
 
     template <typename T>
     bool restoreTile(Structure &s, size_t t,
@@ -282,8 +316,6 @@ class IntegrityContext
     std::atomic<uint32_t> checks_{0};
     bool frame_recovered_ = false;
     std::vector<Structure> structures_;
-    /** Shadow copies (recover mode), capacity retained across frames. */
-    FrameArena shadow_;
     mutable std::mutex fault_mutex_;
     FaultHandler handler_;
     std::vector<FaultReport> faults_;
@@ -307,19 +339,17 @@ IntegrityContext::sealTiles(IntegrityStage stage, const char *name,
     if (mode_ == IntegrityMode::Recover) {
         // Shadow layout: one concatenated element array plus tile offsets,
         // both reused frame over frame with capacity retained.
-        auto &data = shadow_.buffer<T>(s.shadow_key);
-        auto &offsets = shadow_.buffer<uint64_t>(s.shadow_key + 1);
-        offsets.resize(n + 1);
+        s.shadow_offsets.resize(n + 1);
         uint64_t total = 0;
         for (size_t t = 0; t < n; ++t) {
-            offsets[t] = total;
+            s.shadow_offsets[t] = total;
             total += tiles[t].size();
         }
-        offsets[n] = total;
-        data.resize(total);
+        s.shadow_offsets[n] = total;
+        s.shadow.resize(total * sizeof(T));
         for (size_t t = 0; t < n; ++t)
-            std::copy(tiles[t].begin(), tiles[t].end(),
-                      data.begin() + static_cast<ptrdiff_t>(offsets[t]));
+            copyToShadow(s, s.shadow_offsets[t], tiles[t].data(),
+                         tiles[t].size());
     }
     s.sealed = true;
 }
@@ -362,8 +392,8 @@ IntegrityContext::sealSpan(IntegrityStage stage, const char *name,
     s.digests.assign(1, digestSpan(data.data(), data.size()));
     s.sizes.assign(1, static_cast<uint32_t>(data.size()));
     if (mode_ == IntegrityMode::Recover) {
-        auto &shadow = shadow_.buffer<T>(s.shadow_key);
-        shadow.assign(data.begin(), data.end());
+        s.shadow.resize(data.size() * sizeof(T));
+        copyToShadow(s, 0, data.data(), data.size());
     }
     s.sealed = true;
 }
@@ -384,13 +414,12 @@ IntegrityContext::verifySpan(IntegrityStage stage, const char *name,
     if (d == s->digests[0])
         return true;
     bool restored = false;
-    if (mode_ == IntegrityMode::Recover) {
-        auto &shadow = shadow_.buffer<T>(s->shadow_key);
-        if (shadow.size() == data.size() &&
-            digestSpan(shadow.data(), shadow.size()) == s->digests[0]) {
-            data.assign(shadow.begin(), shadow.end());
-            restored = true;
-        }
+    const T *shadow = shadowElements<T>(*s);
+    if (mode_ == IntegrityMode::Recover &&
+        s->shadow.size() == data.size() * sizeof(T) &&
+        digestSpan(shadow, data.size()) == s->digests[0]) {
+        data.assign(shadow, shadow + data.size());
+        restored = true;
     }
     recordFault(stage, name, -1, s->digests[0], d, restored);
     return false;
@@ -401,19 +430,19 @@ bool
 IntegrityContext::restoreTile(Structure &s, size_t t,
                               std::vector<std::vector<T>> &tiles)
 {
-    auto &data = shadow_.buffer<T>(s.shadow_key);
-    auto &offsets = shadow_.buffer<uint64_t>(s.shadow_key + 1);
+    const std::vector<uint64_t> &offsets = s.shadow_offsets;
     if (offsets.size() != s.sizes.size() + 1 || t + 1 >= offsets.size())
         return false;
     const uint64_t begin = offsets[t];
     const uint64_t end = offsets[t + 1];
-    if (end < begin || end > data.size() || end - begin != s.sizes[t])
+    if (end < begin || end > s.shadow.size() / sizeof(T) ||
+        end - begin != s.sizes[t])
         return false;
-    if (digestSpan(data.data() + begin, static_cast<size_t>(end - begin)) !=
-        s.digests[t])
+    const T *shadow = shadowElements<T>(s) + begin;
+    const size_t count = static_cast<size_t>(end - begin);
+    if (digestSpan(shadow, count) != s.digests[t])
         return false; // shadow corrupted too: unrecoverable
-    tiles[t].assign(data.begin() + static_cast<ptrdiff_t>(begin),
-                    data.begin() + static_cast<ptrdiff_t>(end));
+    tiles[t].assign(shadow, shadow + count);
     return true;
 }
 

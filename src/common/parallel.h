@@ -251,7 +251,7 @@ struct BatchPlan
 
     size_t size() const { return batches.size(); }
 
-    /** Nested heap capacity, surfaced to FrameArena::retainedBytes. */
+    /** Heap capacity, summed into its owner's capacityBytes(). */
     size_t capacityBytes() const
     {
         return batches.capacity() * sizeof(WeightedBatch) +

@@ -1,8 +1,8 @@
 #include "core/neo_renderer.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 
 #include "common/faultinject.h"
 
@@ -62,26 +62,30 @@ class StageClock
 
 } // namespace
 
-RendererShared::RendererShared(PipelineOptions opts)
-    : base_(opts), reference_(referenceOptions(opts))
-{
-}
-
 NeoRenderer::NeoRenderer(PipelineOptions opts, DynamicPartialConfig dps)
-    : NeoRenderer(std::make_shared<const RendererShared>(opts), dps)
-{
-}
-
-NeoRenderer::NeoRenderer(std::shared_ptr<const RendererShared> shared,
-                         DynamicPartialConfig dps)
-    : shared_(std::move(shared)), sorter_(dps)
+    : base_(opts), reference_(referenceOptions(opts)), sorter_(dps)
 {
     // One thread knob drives every stage: binning/projection (binFrame),
-    // reuse-and-update sorting (sorter_), and rasterization (base).
-    sorter_.setThreads(opts().threads);
-    integrity_.configure(resolveIntegrityMode(opts().integrity));
+    // reuse-and-update sorting (sorter_), and rasterization (base_).
+    sorter_.setThreads(opts.threads);
+    integrity_.configure(resolveIntegrityMode(opts.integrity));
     if (integrity_.enabled())
         sorter_.setIntegrity(&integrity_);
+}
+
+void
+NeoRenderer::restorePersistentState(
+    std::vector<std::vector<TileEntry>> tables)
+{
+    std::vector<std::vector<GaussianId>> prev_ids(tables.size());
+    for (size_t t = 0; t < tables.size(); ++t) {
+        for (const TileEntry &e : tables[t])
+            if (e.valid)
+                prev_ids[t].push_back(e.id);
+        std::sort(prev_ids[t].begin(), prev_ids[t].end());
+    }
+    sorter_.restore(std::move(tables), std::move(prev_ids));
+    integrity_.forgetSeals();
 }
 
 Image
@@ -101,8 +105,7 @@ NeoRenderer::binStage(const GaussianScene &scene, const Camera &camera,
     if (fenced)
         integrity_.beginFrame(frame_index);
 
-    binFrameInto(frame_, arena_, scene, camera, opts().tile_px,
-                 opts().threads);
+    binFrameInto(frame_, scene, camera, opts().tile_px, opts().threads);
     if (fenced) {
         // Binning fence: seal the fresh tile lists, expose the injection
         // window, and verify before the sorter consumes them. In recover
@@ -174,7 +177,7 @@ NeoRenderer::rasterStage(Image &out, uint64_t frame_index,
                          FrameStats &stats)
 {
     IntegrityContext *ctx = integrity_.enabled() ? &integrity_ : nullptr;
-    shared_->base().renderInto(out, frame_, sorted, &stats, &arena_, ctx);
+    base_.renderInto(out, frame_, sorted, &stats, &raster_, ctx);
 
     if (integrity_.mode() == IntegrityMode::Recover &&
         integrity_.frameFaulted()) {
@@ -186,8 +189,8 @@ NeoRenderer::rasterStage(Image &out, uint64_t frame_index,
         // re-verifying the fenced inputs turns that contract into
         // end-to-end attestation: the delivered frame hash equals the
         // uncorrupted reference.
-        shared_->reference().renderInto(out, frame_, sorted, &stats,
-                                        nullptr, &integrity_);
+        reference_.renderInto(out, frame_, sorted, &stats, nullptr,
+                              &integrity_);
         // Re-verify the fenced inputs. On the Direct path the frame's
         // tile lists were depth-sorted in place after the binning seal,
         // so only the sorting fence (sealed post-sort) still applies —
@@ -208,8 +211,8 @@ NeoRenderer::rasterStage(Image &out, uint64_t frame_index,
         // frame is delivered as-is and the mismatch flows through the
         // normal FaultReport path.
         faultinject::corruptSpan(kIntegrityAttestFrame, out.pixels());
-        shared_->reference().renderInto(attest_image_, frame_, sorted,
-                                        nullptr, nullptr, nullptr);
+        reference_.renderInto(attest_image_, frame_, sorted, nullptr,
+                              nullptr, nullptr);
         const uint64_t expected = attest_image_.contentHash();
         const uint64_t actual = out.contentHash();
         integrity_.noteCheck();
@@ -273,8 +276,7 @@ NeoRenderer::extractWorkload(const GaussianScene &scene,
     sorter_.trackFrame(frame_);
     sortStage(frame_index, FramePath::Reuse);
 
-    FrameWorkload w =
-        shared_->base().workloadFromBinned(frame_, camera.resolution());
+    FrameWorkload w = base_.workloadFromBinned(frame_, camera.resolution());
     const FrameDelta &delta = sorter_.lastDelta();
     w.incoming_instances = delta.incoming_total;
     w.outgoing_instances = delta.outgoing_total;

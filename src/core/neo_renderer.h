@@ -6,14 +6,15 @@
  * rendered image (or, for simulation, the frame's workload descriptor with
  * temporal-delta statistics filled in).
  *
- * Multi-session factoring: everything scene-immutable and stateless lives
- * in RendererShared (the blocked rasterizer, its scalar reference twin,
- * and the pipeline options) and is shared across N renderers via
- * shared_ptr; everything per-stream (the reuse sorter's persistent
- * tables, the delta tracker, the binned frame, the scratch arena, the
- * integrity context) stays inside each NeoRenderer. The serving layer
- * (src/serve/) builds one RendererShared per scene and hands it to every
- * session's renderer.
+ * A NeoRenderer owns everything it renders with: its two rasterizer
+ * configurations (the blocked kernel and its scalar reference twin), the
+ * reuse sorter's persistent tables and delta tracker, the binned frame,
+ * the raster working set and the integrity context. Only the persistent
+ * tables (and the tracker membership they determine) carry over from
+ * one frame to the next; the rest is per-frame working memory whose
+ * capacity is retained. The serving layer
+ * (src/serve/) gives every session its own NeoRenderer, so sessions
+ * share nothing mutable: only the const scene and the thread pool.
  */
 
 #ifndef NEO_CORE_NEO_RENDERER_H
@@ -21,10 +22,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <utility>
+#include <vector>
 
-#include "common/frame_arena.h"
 #include "core/reuse_update.h"
 #include "gs/pipeline.h"
 #include "gs/tile_sort.h"
@@ -40,29 +40,6 @@ struct NeoFrameReport
     ReuseUpdateReport reuse;    //!< reuse-and-update summary
 };
 
-/**
- * The scene-immutable half of a NeoRenderer: the stateless rasterizer
- * pair (blocked kernel + scalar reference twin) and the pipeline options
- * they were built with. Renderer::renderInto is const and takes all
- * per-frame state as arguments, so one RendererShared serves any number
- * of concurrently rendering sessions.
- */
-class RendererShared
-{
-  public:
-    explicit RendererShared(PipelineOptions opts);
-
-    const PipelineOptions &options() const { return base_.options(); }
-    const Renderer &base() const { return base_; }
-    /** Scalar reference-path twin of base() (bit-identical output by the
-        determinism contract) — the recovery/attestation render target. */
-    const Renderer &reference() const { return reference_; }
-
-  private:
-    Renderer base_;
-    Renderer reference_;
-};
-
 /** Renderer built around the reuse-and-update sorting strategy. */
 class NeoRenderer
 {
@@ -73,15 +50,6 @@ class NeoRenderer
      * @param dps Dynamic Partial Sorting tunables.
      */
     explicit NeoRenderer(PipelineOptions opts = neoDefaultOptions(),
-                         DynamicPartialConfig dps = {});
-
-    /**
-     * Build a renderer on top of an existing shared half — the
-     * multi-session constructor: every session renderer built from the
-     * same @p shared reuses its rasterizers, while all mutable per-stream
-     * state (sorter tables, tracker, arena, integrity) is private.
-     */
-    explicit NeoRenderer(std::shared_ptr<const RendererShared> shared,
                          DynamicPartialConfig dps = {});
 
     /** Paper Table 1 configuration: 64-px tiles, 8-px subtiles. */
@@ -111,7 +79,7 @@ class NeoRenderer
 
     /**
      * renderFrame into a caller-owned image — the one frame loop. The
-     * binned frame, the binning/raster scratch, and the sorter's
+     * binned frame, the raster working set, and the sorter's
      * persistent tables all live in this renderer and are refilled with
      * capacity retained, so once warm the loop performs zero per-frame
      * heap allocations on the binning/raster path.
@@ -145,27 +113,19 @@ class NeoRenderer
     }
 
     /**
-     * Adopt @p tables / @p prev_ids as the cross-frame sorter state — the
-     * durable-recovery path. Seals from the pre-restore state are
-     * forgotten (the restored buffers are re-sealed as the next frame
-     * adopts them); a subsequent frame with the same tile count resumes
-     * the reuse path bit-identically to an uninterrupted run.
+     * Adopt @p tables as the cross-frame sorter state — the
+     * durable-recovery path. After every frame a tile's valid table
+     * entries are exactly the ids binned to it, which is the delta
+     * tracker's reference membership, so the membership is rebuilt from
+     * them (each tile's valid ids, ascending). Seals from the
+     * pre-restore state are forgotten (the restored buffers are re-sealed
+     * as the next frame adopts them); a subsequent frame with the same
+     * tile count resumes the reuse path bit-identically to an
+     * uninterrupted run.
      */
-    void restorePersistentState(std::vector<std::vector<TileEntry>> tables,
-                                std::vector<std::vector<GaussianId>> prev_ids)
-    {
-        sorter_.restore(std::move(tables), std::move(prev_ids));
-        integrity_.forgetSeals();
-    }
+    void restorePersistentState(std::vector<std::vector<TileEntry>> tables);
 
     const ReuseUpdateSorter &sorter() const { return sorter_; }
-    const Renderer &base() const { return shared_->base(); }
-
-    /** The scene-immutable half (shareable across sessions). */
-    const std::shared_ptr<const RendererShared> &shared() const
-    {
-        return shared_;
-    }
 
     /** Effective integrity mode (resolved at construction). */
     IntegrityMode integrityMode() const { return integrity_.mode(); }
@@ -173,9 +133,6 @@ class NeoRenderer
     /** Integrity state of this renderer (checks/faults of the last frame
         are also exported into FrameStats::integrity each frame). */
     const IntegrityContext &integrity() const { return integrity_; }
-
-    /** Mutable integrity context (attest-period tuning in tests). */
-    IntegrityContext &integrityMutable() { return integrity_; }
 
     /** Register a callback invoked for every detected fault. */
     void setFaultHandler(FaultHandler handler)
@@ -186,17 +143,14 @@ class NeoRenderer
     /** Binned frame of the most recent render/extract (reused storage). */
     const BinnedFrame &lastBinnedFrame() const { return frame_; }
 
-    /** Scratch arena of the steady-state loop (exposed for tests). */
-    const FrameArena &arena() const { return arena_; }
-
     /**
      * Bytes of capacity retained by the steady-state loop (binned frame
-     * plus arena scratch). Constant across a warm loop — the arena-reuse
-     * test asserts no regrowth frame over frame.
+     * plus raster working set). Constant across a warm loop — the
+     * arena-reuse test asserts no regrowth frame over frame.
      */
     size_t retainedScratchBytes() const
     {
-        return frame_.capacityBytes() + arena_.retainedBytes();
+        return frame_.capacityBytes() + raster_.capacityBytes();
     }
 
   private:
@@ -219,14 +173,19 @@ class NeoRenderer
     void finishFrame(FrameStats &stats, NeoFrameReport *report,
                      FramePath path);
 
-    const PipelineOptions &opts() const { return shared_->options(); }
+    const PipelineOptions &opts() const { return base_.options(); }
 
-    std::shared_ptr<const RendererShared> shared_;
+    /** The blocked rasterizer of every delivered frame. */
+    Renderer base_;
+    /** Scalar reference-path twin of base_ (bit-identical output by the
+        determinism contract) — the recovery/attestation render target. */
+    Renderer reference_;
     ReuseUpdateSorter sorter_;
-    /** Reused per-frame binning output (cleared, never reallocated). */
+    /** Reused per-frame binning output and scatter scratch (cleared,
+        never reallocated). */
     BinnedFrame frame_;
-    /** Reused binning/raster scratch. */
-    FrameArena arena_;
+    /** Reused raster plan and per-participant accumulators. */
+    RasterState raster_;
     /** Reused per-tile sort scratch of the direct (degraded) path. */
     BatchSortScratch direct_sort_scratch_;
     /** Reused attest-mode cross-render target. */

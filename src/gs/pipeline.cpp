@@ -16,25 +16,6 @@ namespace neo
 namespace
 {
 
-/** Per-chunk rasterization working set (see Renderer::renderInto). */
-struct RasterAccum
-{
-    RasterStats stats;
-    RasterScratch scratch;
-
-    /** Nested heap capacity, surfaced to FrameArena::retainedBytes. */
-    size_t capacityBytes() const { return scratch.capacityBytes(); }
-};
-
-/** Arena keys of the raster accumulators, the raster batch plan and the
- *  batched tile-sort scratch (see kArenaKeysRaster). */
-enum : int
-{
-    kKeyRasterAccums = kArenaKeysRaster + 0,
-    kKeySortScratch = kArenaKeysRaster + 1,
-    kKeyRasterPlan = kArenaKeysRaster + 2,
-};
-
 /**
  * Raster batching grain: every non-empty tile is a batch of its own. One
  * tile's blend work dwarfs a cursor claim, and the heaviest-first
@@ -42,18 +23,17 @@ enum : int
  */
 constexpr size_t kRasterBatchGrain = 1;
 
-/** The single element of arena buffer @p key, created on first use. */
-template <typename T>
-T &
-arenaSingleton(FrameArena &arena, int key)
-{
-    std::vector<T> &v = arena.buffer<T>(key);
-    if (v.empty())
-        v.resize(1);
-    return v.front();
-}
-
 } // namespace
+
+size_t
+RasterState::capacityBytes() const
+{
+    size_t total =
+        plan.capacityBytes() + accums.capacity() * sizeof(RasterAccum);
+    for (const RasterAccum &acc : accums)
+        total += acc.scratch.capacityBytes();
+    return total;
+}
 
 uint64_t
 FrameWorkload::nonEmptyTiles() const
@@ -76,24 +56,22 @@ BinnedFrame
 Renderer::prepare(const GaussianScene &scene, const Camera &camera) const
 {
     BinnedFrame frame;
-    FrameArena arena;
-    prepareInto(frame, arena, scene, camera);
+    BatchSortScratch sort_scratch;
+    prepareInto(frame, sort_scratch, scene, camera);
     return frame;
 }
 
 void
-Renderer::prepareInto(BinnedFrame &frame, FrameArena &arena,
+Renderer::prepareInto(BinnedFrame &frame, BatchSortScratch &sort_scratch,
                       const GaussianScene &scene, const Camera &camera) const
 {
     const int threads = resolveThreadCount(opts_.threads);
-    binFrameInto(frame, arena, scene, camera, opts_.tile_px, threads);
+    binFrameInto(frame, scene, camera, opts_.tile_px, threads);
     // Each tile's ordering is independent of every other tile's; tiny
     // tiles fuse into ~256-entry batches so the pool dispatches per
     // batch, and each batch sorts through the key kernel — bit-identical
     // to per-tile std::sort(entryDepthLess) at any thread count.
-    sortTablesBatched(frame.tiles, threads,
-                      arenaSingleton<BatchSortScratch>(arena,
-                                                       kKeySortScratch));
+    sortTablesBatched(frame.tiles, threads, sort_scratch);
 }
 
 Image
@@ -140,7 +118,7 @@ Renderer::renderWithOrdering(
 void
 Renderer::renderInto(Image &image, const BinnedFrame &frame,
                      const std::vector<std::vector<TileEntry>> &orderings,
-                     FrameStats *stats, FrameArena *arena,
+                     FrameStats *stats, RasterState *state,
                      IntegrityContext *integrity) const
 {
     if (integrity && !integrity->enabled())
@@ -168,16 +146,12 @@ Renderer::renderInto(Image &image, const BinnedFrame &frame,
                    : frame.tiles[t];
     };
     // Steady-state path: the plan and the accumulators (with their
-    // ITU/blend scratch) live in the caller's arena and are reused frame
+    // ITU/blend scratch) live in the caller's state and are reused frame
     // after frame; a one-shot render keeps them local.
-    BatchPlan local_plan;
-    std::vector<RasterAccum> local_accums;
-    BatchPlan &plan =
-        arena ? arenaSingleton<BatchPlan>(*arena, kKeyRasterPlan)
-              : local_plan;
-    std::vector<RasterAccum> &accums =
-        arena ? arena->buffer<RasterAccum>(kKeyRasterAccums)
-              : local_accums;
+    RasterState local_state;
+    RasterState &rs = state ? *state : local_state;
+    BatchPlan &plan = rs.plan;
+    std::vector<RasterAccum> &accums = rs.accums;
     buildWeightedBatchesInto(plan, tile_count, kRasterBatchGrain,
                              [&](size_t t) { return tileOrder(t).size(); });
     const size_t chunks = parallelChunkCount(plan.size(), threads);
@@ -197,7 +171,7 @@ Renderer::renderInto(Image &image, const BinnedFrame &frame,
                                        &acc.scratch, integrity);
         }
     });
-    if (arena)
+    if (state)
         growToHighWater(accums, [](RasterAccum &acc) {
             return RasterScratch::buffers(acc.scratch);
         });

@@ -14,19 +14,20 @@
 #ifndef NEO_GS_PIPELINE_H
 #define NEO_GS_PIPELINE_H
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "common/image.h"
 #include "common/integrity.h"
+#include "common/parallel.h"
 #include "gs/camera.h"
 #include "gs/raster.h"
+#include "gs/tile_sort.h"
 #include "gs/tiling.h"
 
 namespace neo
 {
-
-class FrameArena;
 
 /** Pipeline configuration. */
 struct PipelineOptions
@@ -110,6 +111,27 @@ struct FrameStats
     IntegrityFrameStats integrity;
 };
 
+/** One dispatch participant's raster counters and ITU/blend scratch. */
+struct RasterAccum
+{
+    RasterStats stats;
+    RasterScratch scratch;
+};
+
+/**
+ * Reusable working set of Renderer::renderInto: the heaviest-first tile
+ * plan plus one accumulator per dispatch participant, capacity retained
+ * across frames so a warm frame loop rasterizes without allocating.
+ */
+struct RasterState
+{
+    BatchPlan plan;
+    std::vector<RasterAccum> accums;
+
+    /** Heap bytes held, the accumulators' nested scratch included. */
+    size_t capacityBytes() const;
+};
+
 /** Baseline renderer that re-sorts every tile from scratch each frame. */
 class Renderer
 {
@@ -123,11 +145,12 @@ class Renderer
                         const Camera &camera) const;
 
     /**
-     * prepare() into caller-owned storage: @p frame and the binning
-     * scratch in @p arena are refilled with capacity retained, so a warm
-     * steady-state loop prepares frames without per-frame heap churn.
+     * prepare() into caller-owned storage: @p frame and the tile-sort
+     * scratch @p sort_scratch are refilled with capacity retained, so a
+     * warm steady-state loop prepares frames without per-frame heap
+     * churn.
      */
-    void prepareInto(BinnedFrame &frame, FrameArena &arena,
+    void prepareInto(BinnedFrame &frame, BatchSortScratch &sort_scratch,
                      const GaussianScene &scene, const Camera &camera) const;
 
     /** Full render with ground-truth per-tile depth sorting. */
@@ -146,19 +169,19 @@ class Renderer
         FrameStats *stats = nullptr) const;
 
     /**
-     * renderWithOrdering into a caller-owned image. When @p arena is
-     * non-null the per-chunk raster accumulators (counters + ITU/blend
-     * scratch) live there and are reused across frames; with image and
-     * arena reused, a warm steady-state render performs zero per-frame
-     * heap allocations on the raster path. When @p integrity is non-null
-     * and enabled, the blocked kernel cross-checks its CSR bucket bounds
-     * and falls back to the scalar reference blend for any tile whose
-     * check fails (the fault is detected before any pixel is written).
+     * renderWithOrdering into a caller-owned image. When @p state is
+     * non-null the tile plan and the per-participant accumulators live
+     * there and are reused across frames; with image and state reused, a
+     * warm steady-state render performs zero per-frame heap allocations
+     * on the raster path. When @p integrity is non-null and enabled, the
+     * blocked kernel cross-checks its CSR bucket bounds and falls back to
+     * the scalar reference blend for any tile whose check fails (the
+     * fault is detected before any pixel is written).
      */
     void renderInto(Image &image, const BinnedFrame &frame,
                     const std::vector<std::vector<TileEntry>> &orderings,
                     FrameStats *stats = nullptr,
-                    FrameArena *arena = nullptr,
+                    RasterState *state = nullptr,
                     IntegrityContext *integrity = nullptr) const;
 
     /** Workload extraction without pixel work (see file comment). */

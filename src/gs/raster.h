@@ -281,9 +281,9 @@ struct RasterScratch
 
     /**
      * Bytes of heap capacity currently held by every member vector.
-     * Surfaced through FrameArena::retainedBytes (the raster accumulators
-     * expose it), so the steady-state no-regrowth test also covers this
-     * nested scratch.
+     * Summed into RasterState::capacityBytes (and so into
+     * NeoRenderer::retainedScratchBytes), so the steady-state
+     * no-regrowth test also covers this nested scratch.
      */
     size_t capacityBytes() const;
 };

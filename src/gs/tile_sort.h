@@ -37,7 +37,7 @@ struct TileSortScratch
 {
     std::vector<uint64_t> keys;
 
-    /** Nested heap capacity, surfaced to FrameArena::retainedBytes. */
+    /** Heap capacity, summed by BatchSortScratch::capacityBytes. */
     size_t capacityBytes() const
     {
         return keys.capacity() * sizeof(uint64_t);

@@ -59,36 +59,25 @@ BinnedFrame::capacityBytes() const
                    (color.capacity() + conic.capacity()) * sizeof(Vec3) +
                    (radius_px.capacity() + depth.capacity() +
                     opacity.capacity()) *
-                       sizeof(float);
+                       sizeof(float) +
+                   rects.capacity() * sizeof(TileRect) +
+                   cursors.capacity() * sizeof(uint32_t);
     for (const auto &t : tiles)
         total += t.capacity() * sizeof(TileEntry);
     return total;
 }
-
-namespace
-{
-
-/** Arena keys of the scatter scratch (see kArenaKeysBinning). */
-enum : int
-{
-    kKeyRects = kArenaKeysBinning + 0,   //!< id-indexed tile rectangles
-    kKeyCursors = kArenaKeysBinning + 1, //!< chunks x tiles counts/cursors
-};
-
-} // namespace
 
 BinnedFrame
 binFrame(const GaussianScene &scene, const Camera &camera, int tile_px,
          int threads)
 {
     BinnedFrame out;
-    FrameArena arena;
-    binFrameInto(out, arena, scene, camera, tile_px, threads);
+    binFrameInto(out, scene, camera, tile_px, threads);
     return out;
 }
 
 void
-binFrameInto(BinnedFrame &out, FrameArena &arena, const GaussianScene &scene,
+binFrameInto(BinnedFrame &out, const GaussianScene &scene,
              const Camera &camera, int tile_px, int threads)
 {
     const int t = resolveThreadCount(threads);
@@ -109,9 +98,9 @@ binFrameInto(BinnedFrame &out, FrameArena &arena, const GaussianScene &scene,
     // contributions in chunk order reproduces the historical serial
     // ascending-id pass bit for bit.
     const size_t chunks = parallelChunkCount(n, t);
-    auto &rects = arena.buffer<TileRect>(kKeyRects);
+    std::vector<TileRect> &rects = out.rects;
     rects.resize(n);
-    auto &cursors = arena.buffer<uint32_t>(kKeyCursors);
+    std::vector<uint32_t> &cursors = out.cursors;
     cursors.assign(chunks * tile_count, 0);
 
     // Phase 1: each chunk culls, projects and SH-shades its Gaussians

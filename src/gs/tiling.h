@@ -150,6 +150,11 @@ struct BinnedFrame
     std::vector<Vec3> color;      //!< view-dependent RGB from SH
     std::vector<Vec3> conic;      //!< inverse-covariance (a, b, c)
 
+    // Binning's scatter scratch, refilled every frame with capacity
+    // retained (see binFrameInto).
+    std::vector<TileRect> rects;   //!< per id: its tile rectangle
+    std::vector<uint32_t> cursors; //!< chunks x tiles counts, then cursors
+
     /**
      * Bounds-checked: an id outside the scene (only a corrupted entry
      * carries one) reads as invisible and never indexes the arrays.
@@ -163,9 +168,9 @@ struct BinnedFrame
     double meanTileLength() const;
 
     /**
-     * Bytes of vector capacity currently held (outer containers plus
-     * per-tile lists). Constant across a warm steady-state frame loop;
-     * the arena-reuse test pins that down.
+     * Bytes of vector capacity currently held (outer containers, per-tile
+     * lists and the scatter scratch). Constant across a warm steady-state
+     * frame loop; the arena-reuse test pins that down.
      */
     size_t capacityBytes() const;
 };
@@ -206,8 +211,6 @@ prefetchGather(const BinnedFrame &frame, const std::vector<TileEntry> &entries,
     }
 }
 
-class FrameArena;
-
 /**
  * Run culling + feature extraction + duplication for one frame as a
  * two-phase per-chunk pass over contiguous id ranges. Phase 1 culls,
@@ -227,14 +230,13 @@ BinnedFrame binFrame(const GaussianScene &scene, const Camera &camera,
                      int tile_px, int threads = 0);
 
 /**
- * binFrame into caller-owned storage: @p out and the scatter scratch in
- * @p arena are cleared and refilled with capacity retained, so a warm
+ * binFrame into caller-owned storage: @p out, its scatter scratch
+ * included, is cleared and refilled with capacity retained, so a warm
  * steady-state loop re-bins without any per-frame heap allocation.
  * Results are bit-identical to binFrame for any thread count.
  */
-void binFrameInto(BinnedFrame &out, FrameArena &arena,
-                  const GaussianScene &scene, const Camera &camera,
-                  int tile_px, int threads = 0);
+void binFrameInto(BinnedFrame &out, const GaussianScene &scene,
+                  const Camera &camera, int tile_px, int threads = 0);
 
 } // namespace neo
 

@@ -149,32 +149,6 @@ readTileVectors(ByteReader &r,
     return r.ok();
 }
 
-void
-writeIdVectors(ByteWriter &w,
-               const std::vector<std::vector<GaussianId>> &ids)
-{
-    w.u32(static_cast<uint32_t>(ids.size()));
-    for (const std::vector<GaussianId> &t : ids) {
-        w.u32(static_cast<uint32_t>(t.size()));
-        for (GaussianId id : t)
-            w.u32(id);
-    }
-}
-
-bool
-readIdVectors(ByteReader &r, std::vector<std::vector<GaussianId>> *out)
-{
-    const uint32_t tiles = r.u32();
-    out->clear();
-    for (uint32_t t = 0; t < tiles && r.ok(); ++t) {
-        out->emplace_back();
-        const uint32_t count = r.u32();
-        for (uint32_t i = 0; i < count && r.ok(); ++i)
-            out->back().push_back(r.u32());
-    }
-    return r.ok();
-}
-
 /** The reply-visible fields of a FrameOutcome (not its stage timings). */
 void
 writeOutcome(ByteWriter &w, const FrameOutcome &o)
@@ -242,7 +216,6 @@ writeSession(ByteWriter &w, const SessionDurable &s)
     writeOutcome(w, s.last_outcome);
     w.u8(s.has_renderer);
     writeTileVectors(w, s.tables);
-    writeIdVectors(w, s.prev_ids);
 }
 
 bool
@@ -279,8 +252,6 @@ decodeSessionPayload(const uint8_t *data, size_t len, SessionDurable *out)
         return false;
     s.has_renderer = r.u8();
     if (!readTileVectors(r, &s.tables))
-        return false;
-    if (!readIdVectors(r, &s.prev_ids))
         return false;
     if (!r.done())
         return false;

@@ -4,15 +4,16 @@
  * mode (serve/durable/). A snapshot captures the complete
  * session-critical state of a NeoServer — every live session's
  * SessionDurable (frame position, queue, last outcome, QoS/degradation
- * ladder, persistent sorter tables, delta-tracker membership) plus the
- * journal coordinates it pairs with — so that a restarted process can
- * reload it and deterministically replay the journal suffix.
+ * ladder, persistent sorter tables, from which the delta tracker's
+ * membership is rebuilt) plus the journal coordinates it pairs with —
+ * so that a restarted process can reload it and deterministically
+ * replay the journal suffix.
  *
  * Container layout (all integers little-endian):
  *
  *   offset  size  field
  *   0       4     magic         "NEOS" (0x534F454E as a LE u32)
- *   4       4     version       kSnapshotVersion (4)
+ *   4       4     version       kSnapshotVersion (5)
  *   8       4     section count
  *   12      ...   sections
  *   end-8   8     Digest64 over every preceding byte
@@ -58,12 +59,14 @@ namespace neo::serve::durable
 
 /** "NEOS" read little-endian. */
 inline constexpr uint32_t kSnapshotMagic = 0x534F454Eu;
-/** Version 4: a Session section no longer carries the removed stage
-    watchdog's fields, so a version 3 section would misparse. A version
-    2 file also carries the older FNV-1a `last_outcome.frame_hash`,
-    which would answer a retried frame with a hash no fresh render
+/** Version 5: a Session section ends with the sorter tables; the
+    tracker membership that version 4 appended after them is rebuilt
+    from the tables' valid ids, so a version 4 section would misparse.
+    Version 3 also carried the removed stage watchdog's fields, and a
+    version 2 file the older FNV-1a `last_outcome.frame_hash`, which
+    would answer a retried frame with a hash no fresh render
     reproduces. Older versions are refused. */
-inline constexpr uint32_t kSnapshotVersion = 4;
+inline constexpr uint32_t kSnapshotVersion = 5;
 /** Fixed prefix: magic + version + section count. */
 inline constexpr size_t kSnapshotHeaderSize = 12;
 /** Per-section prefix: type + length + crc32. */

@@ -10,9 +10,7 @@ namespace neo::serve
 
 NeoServer::NeoServer(std::shared_ptr<const GaussianScene> scene,
                      ServerConfig cfg)
-    : cfg_(std::move(cfg)),
-      scene_(std::move(scene)),
-      shared_(std::make_shared<const RendererShared>(cfg_.pipeline))
+    : cfg_(std::move(cfg)), scene_(std::move(scene))
 {
 }
 
@@ -49,8 +47,8 @@ NeoServer::open(const Trajectory &trajectory, Resolution resolution,
         sessions_.emplace_back();
 
     sessions_[slot] = std::make_unique<Session>(
-        static_cast<uint32_t>(slot), scene_, shared_, trajectory,
-        resolution, qos, cfg_);
+        static_cast<uint32_t>(slot), scene_, trajectory, resolution, qos,
+        cfg_);
     r.admitted = true;
     r.session_id = static_cast<uint32_t>(slot);
 
@@ -155,9 +153,8 @@ NeoServer::placeSessionAt(uint32_t id, const SessionOpenParams &open)
     std::lock_guard<std::mutex> lock(mutex_);
     if (sessions_.size() <= id)
         sessions_.resize(id + 1);
-    sessions_[id] = std::make_unique<Session>(id, scene_, shared_,
-                                              trajectory, resolution,
-                                              open.qos, cfg_);
+    sessions_[id] = std::make_unique<Session>(id, scene_, trajectory,
+                                              resolution, open.qos, cfg_);
     if (durability_)
         sessions_[id]->setDurability(durability_.get());
     return sessions_[id].get();

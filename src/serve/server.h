@@ -1,13 +1,13 @@
 /**
  * @file
  * Multi-session serving layer over the Neo renderer. One NeoServer owns
- * the immutable half of the pipeline — the scene and a RendererShared
- * (stateless base + reference rasterizer pair) — and admits up to
- * max_sessions camera streams against it. Each admitted Session carries
- * its own mutable state (sorter tables, tracker, arena, integrity
- * context, framebuffer), which is what makes fault isolation a
- * structural property rather than a convention: there is no mutable
- * byte a faulty session can reach that a healthy sibling reads.
+ * the immutable scene and admits up to max_sessions camera streams
+ * against it. Each admitted Session carries its own renderer (its
+ * rasterizers, sorter tables, tracker, scratch and integrity context)
+ * and framebuffer; sessions share only the const scene and the thread
+ * pool. That is what makes fault isolation a structural property rather
+ * than a convention: there is no mutable byte a faulty session can
+ * reach that a healthy sibling reads.
  *
  * Driving model: the server does not own threads. Callers pump it —
  * pump() steps every live session once (round-robin fairness under
@@ -74,10 +74,6 @@ class NeoServer
     const std::shared_ptr<const GaussianScene> &scene() const
     {
         return scene_;
-    }
-    const std::shared_ptr<const RendererShared> &shared() const
-    {
-        return shared_;
     }
 
     /** Step every live session once (round-robin). Returns the number
@@ -146,7 +142,6 @@ class NeoServer
 
     const ServerConfig cfg_;
     const std::shared_ptr<const GaussianScene> scene_;
-    const std::shared_ptr<const RendererShared> shared_;
 
     mutable std::mutex mutex_; //!< guards sessions_
     std::vector<std::unique_ptr<Session>> sessions_; //!< index == id

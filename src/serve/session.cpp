@@ -59,12 +59,10 @@ readStats(ByteReader &r, SessionStats *out)
 }
 
 Session::Session(uint32_t id, std::shared_ptr<const GaussianScene> scene,
-                 std::shared_ptr<const RendererShared> shared,
                  Trajectory trajectory, Resolution resolution,
                  QosTarget qos, const ServerConfig &cfg)
     : id_(id),
       scene_(std::move(scene)),
-      shared_(std::move(shared)),
       trajectory_(trajectory),
       resolution_(resolution),
       qos_(qos),
@@ -164,11 +162,10 @@ Session::backoffFor(int failures) const
 void
 Session::rebuildRenderer()
 {
-    // A fresh renderer from the shared scene-immutable half: new sorter
-    // tables (cold-start full re-sort on its first frame), new tracker,
-    // new arena, new integrity context — any corrupted bytes of the
-    // torn-down instance are unreachable.
-    renderer_ = std::make_unique<NeoRenderer>(shared_, cfg_.dps);
+    // A fresh renderer: new sorter tables (cold-start full re-sort on
+    // its first frame), new tracker, new scratch, new integrity context —
+    // any corrupted bytes of the torn-down instance are unreachable.
+    renderer_ = std::make_unique<NeoRenderer>(cfg_.pipeline, cfg_.dps);
     renderer_->setFaultHandler([this](const FaultReport &) {
         frame_faults_.fetch_add(1, std::memory_order_relaxed);
     });
@@ -382,13 +379,10 @@ Session::exportDurable(SessionDurable &out) const
     out.sorter_stale = sorter_stale_ ? 1 : 0;
     out.last_drop = last_drop_;
     out.has_renderer = renderer_ != nullptr;
-    if (renderer_) {
+    if (renderer_)
         out.tables = renderer_->sorter().tables().tables();
-        out.prev_ids = renderer_->sorter().trackerPrevIds();
-    } else {
+    else
         out.tables.clear();
-        out.prev_ids.clear();
-    }
 }
 
 void
@@ -414,10 +408,10 @@ Session::restoreDurable(SessionDurable d)
     last_drop_ = d.last_drop;
     if (d.has_renderer) {
         // The constructor built a fresh renderer; adopting the
-        // snapshotted tables + tracker membership puts its next frame on
-        // the reuse path exactly where the snapshot left off.
-        renderer_->restorePersistentState(std::move(d.tables),
-                                          std::move(d.prev_ids));
+        // snapshotted tables (the tracker membership is rebuilt from
+        // them) puts its next frame on the reuse path exactly where the
+        // snapshot left off.
+        renderer_->restorePersistentState(std::move(d.tables));
     } else {
         // The session faulted before the snapshot: it is mid-quarantine
         // and the next eligible step() rebuilds cold, as it would have.

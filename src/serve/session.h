@@ -1,21 +1,22 @@
 /**
  * @file
  * One render session of the multi-session serving layer: a bounded frame
- * queue with an explicit drop policy, a private NeoRenderer built on the
- * server's shared RendererShared, a deadline-driven BudgetController,
- * and the quarantine state machine that contains faults to this session.
+ * queue with an explicit drop policy, a private NeoRenderer, a
+ * deadline-driven BudgetController, and the quarantine state machine
+ * that contains faults to this session.
  *
- * Fault-isolation contract: all mutable render state (sorter tables,
- * tracker, binned frame, arena, integrity context, framebuffer) is owned
- * by the session; the only shared pieces — the scene and the stateless
- * rasterizer pair — are const. An integrity FaultReport therefore
- * quarantines exactly this session: its renderer is torn down, rebuilt
- * from the shared scene on a capped exponential-backoff ladder
- * (cold-start re-sort), and after M failed recoveries the session turns
- * terminally Degraded. Healthy sibling sessions' frame hashes stay
- * bit-identical to solo runs throughout. A slow frame is not a fault:
- * lateness is the BudgetController's to handle, and it keeps the sorter
- * tables, so no wall-clock reading ever triggers a cold rebuild.
+ * Fault-isolation contract: all render state (rasterizers, sorter
+ * tables, tracker, binned frame, scratch, integrity context,
+ * framebuffer) is owned by the session; the only shared pieces — the
+ * const scene and the thread pool — hold no session's bytes. An
+ * integrity FaultReport therefore quarantines exactly this session: its
+ * renderer is torn down, rebuilt from the shared scene on a capped
+ * exponential-backoff ladder (cold-start re-sort), and after M failed
+ * recoveries the session turns terminally Degraded. Healthy sibling
+ * sessions' frame hashes stay bit-identical to solo runs throughout. A
+ * slow frame is not a fault: lateness is the BudgetController's to
+ * handle, and it keeps the sorter tables, so no wall-clock reading ever
+ * triggers a cold rebuild.
  *
  * Threading: submit()/stats()/state() are thread-safe against a single
  * concurrent driver calling step()/drain(). A session must not be driven
@@ -141,9 +142,10 @@ struct SessionOpenParams
  * writes and a crash-consistent snapshot persists. Restoring it into a
  * freshly constructed session (same open params) and replaying the
  * journal suffix resumes the stream bit-identically to an uninterrupted
- * run: the persistent tile tables plus the delta tracker's reference
- * membership are the renderer's entire cross-frame state, and
- * everything else here is the session-layer state machine around it.
+ * run: the persistent tile tables are the renderer's entire cross-frame
+ * state (the delta tracker's reference membership is each tile's valid
+ * ids, rebuilt on restore), and everything else here is the
+ * session-layer state machine around it.
  */
 struct SessionDurable
 {
@@ -175,10 +177,9 @@ struct SessionDurable
     FrameOutcome last_outcome;
 
     /** False when the session faulted and its renderer was torn down
-        (quarantine/degraded); tables/prev_ids are then empty. */
+        (quarantine/degraded); tables is then empty. */
     uint8_t has_renderer = 1;
     std::vector<std::vector<TileEntry>> tables;
-    std::vector<std::vector<GaussianId>> prev_ids;
 };
 
 /** One camera stream served against the shared scene (see file comment). */
@@ -186,7 +187,6 @@ class Session
 {
   public:
     Session(uint32_t id, std::shared_ptr<const GaussianScene> scene,
-            std::shared_ptr<const RendererShared> shared,
             Trajectory trajectory, Resolution resolution, QosTarget qos,
             const ServerConfig &cfg);
 
@@ -263,7 +263,6 @@ class Session
 
     const uint32_t id_;
     const std::shared_ptr<const GaussianScene> scene_;
-    const std::shared_ptr<const RendererShared> shared_;
     const Trajectory trajectory_;
     const Resolution resolution_;
     const QosTarget qos_;

@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/frame_arena.h"
 #include "common/parallel.h"
 #include "core/delta_tracker.h"
 #include "core/neo_renderer.h"
@@ -85,17 +84,18 @@ extractOne(const GaussianScene &scene, const Trajectory &trajectory,
     DeltaTracker tracker;
     tracker.setThreads(threads);
 
-    // Steady-state extraction: the binned frame, scatter scratch and
-    // delta buffers persist across the frame loop with capacity retained.
+    // Steady-state extraction: the binned frame (scatter scratch
+    // included), the tile-sort scratch and the delta buffers persist
+    // across the frame loop with capacity retained.
     BinnedFrame frame;
-    FrameArena arena;
+    BatchSortScratch sort_scratch;
     FrameDelta delta;
 
     std::vector<FrameWorkload> out;
     out.reserve(frames);
     for (int f = 0; f < frames; ++f) {
         Camera cam = trajectory.cameraAt(f, res);
-        renderer.prepareInto(frame, arena, scene, cam);
+        renderer.prepareInto(frame, sort_scratch, scene, cam);
         tracker.observe(frame, delta);
         FrameWorkload w = renderer.workloadFromBinned(frame, res);
         w.incoming_instances = delta.incoming_total;

@@ -1,6 +1,7 @@
 /**
  * @file
- * FrameArena and steady-state allocation tests. Two guarantees:
+ * Scratch-reuse helpers and steady-state allocation tests. Two
+ * guarantees:
  *
  *  1. No capacity regrowth: once warm, the buffers retained by the
  *     steady-state frame loop (binned frame, scatter/raster scratch)
@@ -95,28 +96,6 @@ namespace neo
 namespace
 {
 
-TEST(FrameArenaTest, BuffersPersistByKeyAndType)
-{
-    FrameArena arena;
-    auto &a = arena.buffer<int>(1);
-    a.assign(100, 7);
-    auto &b = arena.buffer<float>(2);
-    b.assign(10, 1.0f);
-    EXPECT_EQ(arena.bufferCount(), 2u);
-
-    // Same key -> same storage, contents and capacity intact.
-    auto &a2 = arena.buffer<int>(1);
-    EXPECT_EQ(&a, &a2);
-    EXPECT_EQ(a2.size(), 100u);
-    EXPECT_EQ(a2[99], 7);
-
-    EXPECT_GE(arena.retainedBytes(),
-              100 * sizeof(int) + 10 * sizeof(float));
-    arena.release();
-    EXPECT_EQ(arena.bufferCount(), 0u);
-    EXPECT_EQ(arena.retainedBytes(), 0u);
-}
-
 TEST(FrameArenaTest, ClearNestedKeepsInnerCapacity)
 {
     std::vector<std::vector<int>> vv;
@@ -204,14 +183,15 @@ TEST(ArenaReuseTest, SteadyStateBinRasterPathIsAllocationFree)
         opts.threads = threads;
         Renderer renderer(opts);
         BinnedFrame frame;
-        FrameArena arena;
+        BatchSortScratch sort_scratch;
+        RasterState raster;
         Image image;
         const std::vector<std::vector<TileEntry>> no_orderings;
 
         auto renderOnce = [&] {
-            renderer.prepareInto(frame, arena, scene, cam);
+            renderer.prepareInto(frame, sort_scratch, scene, cam);
             renderer.renderInto(image, frame, no_orderings, nullptr,
-                                &arena);
+                                &raster);
         };
 
         // Warm-up: spawn pool workers, grow every reused buffer.

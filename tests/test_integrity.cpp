@@ -406,6 +406,42 @@ TEST(IntegrityContextTest, CheckModeReportsTileAndKeepsData)
     EXPECT_EQ(tiles[2][10].id, corrupted_id);
 }
 
+/** Flip bit @p bit of @p v's object bytes. */
+template <typename T>
+void
+flipBit(T &v, size_t bit)
+{
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &v, sizeof(T));
+    bytes[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+    std::memcpy(&v, bytes, sizeof(T));
+}
+
+/** True when @p a and @p b hold the same elements bit for bit. */
+template <typename T>
+bool
+sameBits(const std::vector<T> &a, const std::vector<T> &b)
+{
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+/** Seal @p data as span @p name, flip one bit of its element @p at, and
+    expect the verify to restore it bit for bit from the shadow. */
+template <typename T>
+void
+expectSpanRestored(IntegrityContext &ctx, const char *name,
+                   std::vector<T> data, size_t at)
+{
+    const std::vector<T> original = data;
+    ctx.sealSpan(IntegrityStage::Projection, name, data);
+    flipBit(data[at], 8 * sizeof(T) - 2);
+    EXPECT_FALSE(ctx.verifySpan(IntegrityStage::Projection, name, data));
+    EXPECT_TRUE(sameBits(data, original)) << name;
+    EXPECT_TRUE(ctx.verifySpan(IntegrityStage::Projection, name, data));
+}
+
 TEST(IntegrityContextTest, RecoverModeRestoresFromShadow)
 {
     IntegrityContext ctx;
@@ -427,14 +463,33 @@ TEST(IntegrityContextTest, RecoverModeRestoresFromShadow)
                   digestSpan(original[t].data(), original[t].size()))
             << "tile " << t;
     }
-    IntegrityFrameStats stats;
-    ctx.exportStats(stats);
-    EXPECT_EQ(stats.faults, 2u);
-    for (const FaultReport &r : stats.reports)
-        EXPECT_TRUE(r.recovered);
     // Restored data passes a re-verify.
     EXPECT_TRUE(
         ctx.verifyTiles(IntegrityStage::Binning, kIntegrityBinTiles, tiles));
+
+    // Every other fenced element type restores bit for bit too: the
+    // tracker's id tiles (one of them truncated) and the feature spans.
+    std::vector<std::vector<GaussianId>> ids = {{3, 9, 40}, {}, {1, 7}};
+    const auto ids_original = ids;
+    ctx.sealTiles(IntegrityStage::Tracking, kIntegrityTrackerPrevIds, ids);
+    ids[0][1] ^= 1u << 9;
+    ids[2].pop_back();
+    EXPECT_FALSE(ctx.verifyTiles(IntegrityStage::Tracking,
+                                 kIntegrityTrackerPrevIds, ids));
+    EXPECT_EQ(ids, ids_original);
+    expectSpanRestored(ctx, kIntegrityProjRadius,
+                       std::vector<float>{1.5f, 2.25f, 0.0f, 8.0f}, 3);
+    expectSpanRestored(ctx, kIntegrityProjMean2d,
+                       std::vector<Vec2>{{1.0f, 2.0f}, {-3.5f, 4.0f}}, 1);
+    expectSpanRestored(
+        ctx, kIntegrityProjConic,
+        std::vector<Vec3>{{0.5f, -0.25f, 2.0f}, {1.0f, 0.0f, 3.0f}}, 0);
+
+    IntegrityFrameStats stats;
+    ctx.exportStats(stats);
+    EXPECT_EQ(stats.faults, 7u);
+    for (const FaultReport &r : stats.reports)
+        EXPECT_TRUE(r.recovered) << r.structure << " tile " << r.tile;
 }
 
 TEST(IntegrityContextTest, ReshapedStructurePassesVacuously)
